@@ -1,6 +1,6 @@
 // E21: intra-query parallel CN execution — worker-pool scaling with
 // modeled per-CN RDBMS round-trips, the honest pure-CPU numbers, and the
-// serial-path collector overhead.
+// one-worker collector overhead.
 //
 // Series:
 //   E21.1 modeled-IO scaling: DISCOVER-style deployments issue one SQL
@@ -11,13 +11,16 @@
 //   E21.2 pure-CPU scaling (simulated_cn_io_micros = 0) on the same
 //         workload — recorded honestly: on a single-core host there is
 //         nothing to overlap and the pool is pure overhead.
-//   E21.3 serial-path collector delta: the serial runners moved from the
-//         insertion-ordered TopK to the total-ordered OrderedTopK; this
-//         measures the offer-loop cost of both over identical streams.
+//   E21.3 one-worker collector delta: a one-thread evaluation collects
+//         into the total-ordered OrderedTopK rather than the
+//         insertion-ordered TopK; this measures the offer-loop cost of
+//         both over identical streams.
 //
-// Every parallel run is checked bit-for-bit against the serial results
-// (score, cn_index, tuples) — the bench aborts on any mismatch, so the
-// scaling numbers can never come from a wrong answer.
+// Every multi-thread run is checked bit-for-bit against the one-thread
+// run of the same evaluation loop (score, cn_index, tuples) — the bench
+// aborts on any mismatch, so the scaling numbers can never come from a
+// wrong answer. Correctness itself is pinned by the brute-force oracle
+// in tests/cn_parallel_test.cc.
 //
 // `--smoke` shrinks every series to a <5 s run (the ci.sh gate);
 // absolute numbers are then meaningless but every code path still
@@ -157,8 +160,9 @@ void ScalingSeries(const char* id, const char* title,
 
 void CollectorOverheadSeries() {
   Banner("E21.3", "serial collector: TopK vs OrderedTopK offer loop");
-  // The serial runners moved from the insertion-ordered TopK to the
-  // total-ordered OrderedTopK; this offers identical streams to both.
+  // A one-thread evaluation collects into the total-ordered OrderedTopK
+  // rather than the insertion-ordered TopK; this offers identical streams
+  // to both.
   // With (near-)distinct scores the comparators decide on the score and
   // the collectors are interchangeable; exact ties make OrderedTopK fall
   // through to the (cn_index, tuples) keys — the tie-heavy row is that

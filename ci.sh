@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # The full gate: kwslint, tier-1 build + tests, ASan/UBSan over the full
-# suite, ThreadSanitizer over the concurrent serving suites, then the
-# smoke benches. Run from anywhere; paths are repo-relative. Each tier's
-# wall-clock is recorded and a timing summary prints at the end.
+# suite, ThreadSanitizer over the concurrent serving suites, the smoke
+# benches, then the serving benchmark. Run from anywhere; paths are
+# repo-relative. Each tier's wall-clock is recorded and a timing summary
+# prints at the end.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -82,6 +83,19 @@ for f in E20 E21 E22 E23 E24 E25; do
     "bench/baselines/${f}.json" "bench-out/${f}.json"
 done
 tier_end "tier 4 benches"
+
+tier_begin "tier 5: serving benchmark (build, servebench_test, every workload)"
+# servebench compiles src/ as its own CMake package and calls the library
+# directly, so a src/ refactor can break it without failing tiers 1-4.
+cmake -S servebench -B .bench_build/servebench -DCMAKE_BUILD_TYPE=Release
+cmake --build .bench_build/servebench -j "${jobs}" \
+  --target servebench servebench_test
+./.bench_build/servebench/servebench_test
+# A short closed-loop run of all four workloads; exits non-zero when any
+# answer fails its check.
+CARGO_TARGET_DIR=.bench_build \
+  python3 servebench/run.py --workload all --seed 1 --seconds 2 --trace 0
+tier_end "tier 5 servebench"
 
 echo "== timings =="
 for i in "${!tier_names[@]}"; do

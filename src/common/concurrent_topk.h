@@ -34,9 +34,13 @@ namespace kws {
 template <typename T, typename Better>
 class ConcurrentTopK {
  public:
-  /// `k` and `num_shards` must be positive. Use one shard per worker and
-  /// pass the worker index to `Offer`, so shard mutexes are uncontended.
-  ConcurrentTopK(size_t k, size_t num_shards) : k_(k) {
+  /// `num_shards` must be positive. Use one shard per worker and pass the
+  /// worker index to `Offer`, so shard mutexes are uncontended. `k == 0`
+  /// rejects every offer and probe (the threshold starts at +infinity).
+  ConcurrentTopK(size_t k, size_t num_shards)
+      : k_(k),
+        threshold_(k == 0 ? std::numeric_limits<double>::infinity()
+                          : -std::numeric_limits<double>::infinity()) {
     shards_.reserve(num_shards);
     for (size_t i = 0; i < num_shards; ++i) {
       shards_.push_back(std::make_unique<Shard>(k));
@@ -84,8 +88,8 @@ class ConcurrentTopK {
   }
 
   /// The current threshold snapshot: -infinity until k items have been
-  /// offered, then the k-th best offered score seen so far. Exposed for
-  /// tests.
+  /// offered, then the k-th best offered score seen so far (+infinity
+  /// when k == 0). Exposed for tests.
   double ThresholdScore() const {
     return threshold_.load(std::memory_order_acquire);
   }
@@ -127,7 +131,7 @@ class ConcurrentTopK {
   /// The k best scores offered so far (all shards combined); its minimum,
   /// once full, is the sharpest sound threshold.
   std::multiset<double> board_;
-  std::atomic<double> threshold_{-std::numeric_limits<double>::infinity()};
+  std::atomic<double> threshold_;
 };
 
 }  // namespace kws

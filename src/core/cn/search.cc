@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <functional>
 #include <optional>
 #include <queue>
 #include <set>
@@ -17,51 +18,6 @@
 namespace kws::cn {
 
 namespace {
-
-/// Serial collector: exact k-best under the deterministic result order.
-using ResultTopK = OrderedTopK<SearchResult, SearchResultOrder>;
-/// Parallel collector: one shard per worker, same selection function.
-using SharedTopK = ConcurrentTopK<SearchResult, SearchResultOrder>;
-
-/// Converts one joined tree into a SearchResult.
-SearchResult MakeResult(size_t cn_index, const CandidateNetwork& cn,
-                        const JoinedTree& jt) {
-  SearchResult r;
-  r.cn_index = cn_index;
-  r.score = jt.score;
-  r.tuples.reserve(cn.nodes.size());
-  for (uint32_t i = 0; i < cn.nodes.size(); ++i) {
-    r.tuples.push_back(
-        relational::TupleId{cn.nodes[i].table, jt.rows[i]});
-  }
-  return r;
-}
-
-/// The best-ranked hypothetical result CN `cn_index` could still produce
-/// under score bound `bound`: an empty tuple list compares below any real
-/// one, so when the collector rejects this probe it rejects every real
-/// result the CN could yield — the sound early-termination test under the
-/// tie-aware total order.
-SearchResult BoundProbe(size_t cn_index, double bound) {
-  SearchResult probe;
-  probe.cn_index = cn_index;
-  probe.score = bound;
-  return probe;
-}
-
-/// The modeled per-CN RDBMS round-trip; see
-/// SearchOptions::simulated_cn_io_micros.
-void SimulateCnIo(uint64_t micros) {
-  if (micros > 0) {
-    std::this_thread::sleep_for(std::chrono::microseconds(micros));
-  }
-}
-
-void AddExec(const ExecStats& es, SearchStats* stats) {
-  if (stats == nullptr) return;
-  stats->join_lookups += es.join_lookups;
-  stats->results_materialized += es.results;
-}
 
 /// The `cn.execute.*` span name for a strategy. Returned as data (not a
 /// call-site literal) so the one metric-name the linter can't see stays
@@ -78,22 +34,8 @@ const char* ExecSpanName(Strategy s) {
   return "cn.execute.unknown";
 }
 
-/// Mirrors the aggregate work counters onto the execution span. For
-/// kNaive these are identical at every thread count; for kSparse /
-/// kGlobalPipeline the values (not the names) may vary with thread count,
-/// matching the SearchStats contract.
-void AnnotateExec(trace::TraceSpan* span, const SearchStats* st) {
-  if (st == nullptr || span->tracer() == nullptr) return;
-  span->AddCounter("cns_evaluated", st->cns_evaluated);
-  span->AddCounter("results_materialized", st->results_materialized);
-  span->AddCounter("join_lookups", st->join_lookups);
-  span->AddCounter("candidates_verified", st->candidates_verified);
-}
-
 /// CNs in (bound descending, index ascending) order, dead CNs (bound 0)
-/// dropped — the kSparse evaluation order. The explicit index tie-break
-/// keeps tied-bound CNs in index order, matching kNaive and the parallel
-/// merge (a reversed sort here used to flip them).
+/// dropped — the kSparse scan order the collector's verdicts assume.
 std::vector<std::pair<double, size_t>> SparseOrder(
     const std::vector<CandidateNetwork>& cns, const TupleSets& ts) {
   std::vector<std::pair<double, size_t>> order;
@@ -111,65 +53,7 @@ std::vector<std::pair<double, size_t>> SparseOrder(
 }
 
 // ---------------------------------------------------------------------------
-// Serial strategies (num_threads == 1; also the oracle the parallel paths
-// must match bit for bit).
-
-void RunNaive(const relational::Database& db,
-              const std::vector<CandidateNetwork>& cns, const TupleSets& ts,
-              const SearchOptions& options, bool* deadline_hit,
-              ResultTopK& top, SearchStats* stats, trace::Tracer* tracer) {
-  for (size_t i = 0; i < cns.size(); ++i) {
-    if (options.deadline.Expired()) {
-      *deadline_hit = true;
-      break;
-    }
-    // kNaive evaluates every CN regardless of thread count, so a per-CN
-    // span keyed by the CN index merges to the same structure the serial
-    // path emits (the other strategies prune and only get aggregates).
-    trace::TraceSpan cn_span(tracer, "cn.eval");
-    cn_span.SetSortKey(i);
-    SimulateCnIo(options.simulated_cn_io_micros);
-    ExecStats es;
-    auto results = ExecuteCn(db, cns[i], ts, {}, SIZE_MAX, &es, nullptr,
-                             &options.deadline);
-    if (stats != nullptr) ++stats->cns_evaluated;
-    AddExec(es, stats);
-    cn_span.AddCounter("results", es.results);
-    cn_span.AddCounter("join_lookups", es.join_lookups);
-    for (const JoinedTree& jt : results) {
-      top.Offer(MakeResult(i, cns[i], jt));
-    }
-  }
-}
-
-void RunSparse(const relational::Database& db,
-               const std::vector<CandidateNetwork>& cns, const TupleSets& ts,
-               const SearchOptions& options, bool* deadline_hit,
-               ResultTopK& top, SearchStats* stats) {
-  const auto order = SparseOrder(cns, ts);
-  for (const auto& [bound, i] : order) {
-    // Sound break: every remaining entry has (bound', i') ranked at or
-    // below this probe, so a rejection here is a rejection of them all.
-    if (top.WouldReject(BoundProbe(i, bound))) break;
-    if (options.deadline.Expired()) {
-      *deadline_hit = true;
-      break;
-    }
-    SimulateCnIo(options.simulated_cn_io_micros);
-    ExecStats es;
-    auto results = ExecuteCn(db, cns[i], ts, {}, SIZE_MAX, &es, nullptr,
-                             &options.deadline);
-    if (stats != nullptr) ++stats->cns_evaluated;
-    AddExec(es, stats);
-    for (const JoinedTree& jt : results) {
-      top.Offer(MakeResult(i, cns[i], jt));
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Global pipeline: shared admission machinery for the serial and batched
-// parallel variants.
+// Global pipeline admission machinery.
 
 /// Per-CN pipeline state: the keyword-node lists and visited index
 /// combinations.
@@ -227,7 +111,7 @@ std::vector<CnState> InitPipeline(const std::vector<CandidateNetwork>& cns,
 
 /// Pushes `item`'s unvisited successors (advance one dimension each).
 /// Expansion depends only on the tuple-set lists, never on verification
-/// results, so the parallel variant can expand at admission time.
+/// results, so admission can expand before the item is verified.
 void ExpandSuccessors(const CandidateNetwork& cn, CnState& st,
                       const QueueItem& item, CombinationQueue& pq) {
   for (size_t d = 0; d < item.idx.size(); ++d) {
@@ -244,209 +128,282 @@ void ExpandSuccessors(const CandidateNetwork& cn, CnState& st,
   }
 }
 
-/// Verifies one combination: pin the keyword nodes, join the rest.
-std::vector<JoinedTree> VerifyCombination(const relational::Database& db,
-                                          const CandidateNetwork& cn,
-                                          const CnState& st,
-                                          const QueueItem& item,
-                                          const TupleSets& ts,
-                                          const Deadline& deadline,
-                                          ExecStats* es) {
-  std::vector<std::optional<relational::RowId>> fixed(cn.nodes.size());
-  for (size_t d = 0; d < st.kw_nodes.size(); ++d) {  // bounded by keyword count; ExecuteCn below polls -- kwslint: allow(deadline-loop)
-    fixed[st.kw_nodes[d]] = (*st.lists[d])[item.idx[d]].row;
+/// The one-worker collector: exact k-best under the deterministic result
+/// order, with the tie-aware bound probe.
+class PrivateTopK final : public ResultCollector {
+ public:
+  explicit PrivateTopK(size_t k) : top_(k) {}
+
+  Verdict Admit(size_t cn_index, double bound) const override {
+    // The best-ranked result the item could still yield: an empty tuple
+    // list ranks above any real one of the same score and CN, so
+    // rejecting this probe rejects everything the item can produce.
+    SearchResult probe;
+    probe.cn_index = cn_index;
+    probe.score = bound;
+    if (!top_.WouldReject(probe)) return Verdict::kEvaluate;
+    // Strictly below the worst retained score nothing a bound-descending
+    // scan still holds can enter: stop. On a score tie the rejection
+    // hinged on the CN index, and an equal-bound item of a lower-index CN
+    // may still follow: skip this one only.
+    return bound < top_.Worst().score ? Verdict::kStop : Verdict::kSkip;
   }
-  return ExecuteCn(db, cn, ts, fixed, SIZE_MAX, es, nullptr, &deadline);
-}
 
-void CountAdmitted(const std::vector<CnState>& states, SearchStats* stats) {
-  if (stats == nullptr) return;
-  for (const CnState& st : states) {
-    stats->cns_evaluated += st.admitted;
+  void Offer(size_t /*worker*/, SearchResult result) override {
+    top_.Offer(std::move(result));
   }
-}
 
-void RunGlobalPipeline(const relational::Database& db,
-                       const std::vector<CandidateNetwork>& cns,
-                       const TupleSets& ts, const SearchOptions& options,
-                       bool* deadline_hit, ResultTopK& top,
-                       SearchStats* stats) {
-  CombinationQueue pq;
-  std::vector<CnState> states = InitPipeline(cns, ts, pq);
+  std::vector<SearchResult> TakeSorted() { return top_.TakeSorted(); }
 
-  DeadlineChecker checker(options.deadline, 16);
-  while (!pq.empty()) {
-    QueueItem item = pq.top();
-    pq.pop();
-    if (top.WouldReject(BoundProbe(item.cn, item.bound))) {
-      // Everything still queued is bounded by item.bound. Strictly below
-      // the worst retained score nothing can enter: stop for good. On a
-      // score tie the rejection hinged on this CN's index, and an
-      // equal-bound combination from a lower-index CN may still be
-      // queued — drop this item (its successors are ranked at or below
-      // the rejected probe) and keep scanning.
-      if (item.bound < top.Worst().score) break;
-      continue;
+ private:
+  OrderedTopK<SearchResult, SearchResultOrder> top_;
+};
+
+/// The multi-worker collector: one `ConcurrentTopK` slot per worker, same
+/// selection function. Its score-only threshold never rejects a tie, so a
+/// rejection always means stop.
+class SharedTopK final : public ResultCollector {
+ public:
+  SharedTopK(size_t k, size_t num_workers) : top_(k, num_workers) {}
+
+  Verdict Admit(size_t /*cn_index*/, double bound) const override {
+    return top_.WouldReject(bound) ? Verdict::kStop : Verdict::kEvaluate;
+  }
+
+  void Offer(size_t worker, SearchResult result) override {
+    const double score = result.score;
+    top_.Offer(worker, score, std::move(result));
+  }
+
+  std::vector<SearchResult> TakeSorted() { return top_.TakeSorted(); }
+
+ private:
+  ConcurrentTopK<SearchResult, SearchResultOrder> top_;
+};
+
+/// Rows pinned per CN node for a join; empty pins nothing.
+using Pins = std::vector<std::optional<relational::RowId>>;
+
+/// One evaluation: the inputs every strategy loop reads and the
+/// per-worker state it writes. Work lists are deterministically ordered
+/// and statically strided (worker w of n owns items i with i % n == w);
+/// all pruning is the collector's and sound under SearchResultOrder, so
+/// the answer is the same for every worker count.
+struct Evaluation {
+  const relational::Database& db;
+  const std::vector<CandidateNetwork>& cns;
+  const TupleSets& ts;
+  const SearchOptions& options;
+  ResultCollector& out;
+  const size_t num_workers;
+  /// Only with more than one worker; one worker runs inline.
+  std::optional<ThreadPool> pool = {};
+  std::vector<SearchStats> worker_stats = {};
+  /// Only for kNaive's per-CN spans with more than one worker: each
+  /// records into its own tracer (Tracer is not thread-safe).
+  std::vector<trace::Tracer> worker_tracers = {};
+  /// kGlobalPipeline: CNs the coordinator entered into the queue.
+  size_t cns_admitted = 0;
+  std::atomic<bool> deadline_hit = false;
+
+  /// Runs `body(w)` once for every worker w.
+  void RunWorkers(const std::function<void(size_t)>& body) {
+    if (pool.has_value()) {
+      pool->RunOnAll(body);
+    } else {
+      body(0);
     }
-    if (checker.Expired()) {
-      *deadline_hit = true;
-      break;
+  }
+
+  bool Expired() {
+    if (!options.deadline.Expired()) return false;
+    deadline_hit.store(true, std::memory_order_relaxed);
+    return true;
+  }
+
+  /// Joins CN `i` on worker `w` after the modeled round-trip and offers
+  /// every joined tree to the collector.
+  ExecStats Execute(size_t w, size_t i, const Pins& fixed) {
+    if (options.simulated_cn_io_micros > 0) {
+      std::this_thread::sleep_for(
+          std::chrono::microseconds(options.simulated_cn_io_micros));
     }
-    const CandidateNetwork& cn = cns[item.cn];
-    CnState& st = states[item.cn];
-    SimulateCnIo(options.simulated_cn_io_micros);
     ExecStats es;
-    auto results =
-        VerifyCombination(db, cn, st, item, ts, options.deadline, &es);
-    if (stats != nullptr) ++stats->candidates_verified;
-    AddExec(es, stats);
-    for (const JoinedTree& jt : results) {
-      top.Offer(MakeResult(item.cn, cn, jt));
+    const CandidateNetwork& cn = cns[i];
+    for (const JoinedTree& jt : ExecuteCn(db, cn, ts, fixed, SIZE_MAX, &es,
+                                          nullptr, &options.deadline)) {
+      SearchResult r;
+      r.cn_index = i;
+      r.score = jt.score;
+      r.tuples.reserve(cn.nodes.size());
+      for (uint32_t n = 0; n < cn.nodes.size(); ++n) {
+        r.tuples.push_back(relational::TupleId{cn.nodes[n].table, jt.rows[n]});
+      }
+      out.Offer(w, std::move(r));
     }
-    ExpandSuccessors(cn, st, item, pq);
+    worker_stats[w].join_lookups += es.join_lookups;
+    worker_stats[w].results_materialized += es.results;
+    return es;
   }
-  CountAdmitted(states, stats);
-}
+};
 
 // ---------------------------------------------------------------------------
-// Parallel strategies. Work lists are deterministically ordered and
-// statically strided (worker w owns items i with i % num_workers == w);
-// all pruning is sound under SearchResultOrder, so the merged top-k is
-// bit-identical to the serial path for every thread count.
+// The strategies, one loop each.
 
-void RunNaiveParallel(const relational::Database& db,
-                      const std::vector<CandidateNetwork>& cns,
-                      const TupleSets& ts, const SearchOptions& options,
-                      ThreadPool& pool, SharedTopK& top,
-                      std::atomic<bool>& deadline_hit,
-                      std::vector<SearchStats>& worker_stats,
-                      std::vector<trace::Tracer>* worker_tracers) {
-  const size_t stride = pool.size();
-  pool.RunOnAll([&](size_t w) {
-    SearchStats& ws = worker_stats[w];
-    // Each worker records into its own tracer (Tracer is not thread-
-    // safe); the caller merges them by CN-index sort key afterwards.
-    trace::Tracer* const wt =
-        worker_tracers != nullptr ? &(*worker_tracers)[w] : nullptr;
-    for (size_t i = w; i < cns.size(); i += stride) {
-      if (options.deadline.Expired()) {
-        deadline_hit.store(true, std::memory_order_relaxed);
-        break;
-      }
-      trace::TraceSpan cn_span(wt, "cn.eval");
+/// kNaive: every CN in full, in index order; the collector is never asked.
+void RunNaive(Evaluation& e) {
+  e.RunWorkers([&e](size_t w) {
+    trace::Tracer* const tracer =
+        e.num_workers == 1 ? e.options.tracer
+        : e.worker_tracers.empty() ? nullptr : &e.worker_tracers[w];
+    for (size_t i = w; i < e.cns.size(); i += e.num_workers) {
+      if (e.Expired()) break;
+      // kNaive evaluates every CN at every worker count, so a per-CN span
+      // keyed by the CN index merges to the same structure at any count
+      // (the other strategies prune and only get aggregates).
+      trace::TraceSpan cn_span(tracer, "cn.eval");
       cn_span.SetSortKey(i);
-      SimulateCnIo(options.simulated_cn_io_micros);
-      ExecStats es;
-      auto results = ExecuteCn(db, cns[i], ts, {}, SIZE_MAX, &es, nullptr,
-                               &options.deadline);
-      ++ws.cns_evaluated;
-      AddExec(es, &ws);
+      const ExecStats es = e.Execute(w, i, {});
+      ++e.worker_stats[w].cns_evaluated;
       cn_span.AddCounter("results", es.results);
       cn_span.AddCounter("join_lookups", es.join_lookups);
-      for (const JoinedTree& jt : results) {
-        top.Offer(w, jt.score, MakeResult(i, cns[i], jt));
-      }
     }
   });
 }
 
-void RunSparseParallel(const relational::Database& db,
-                       const std::vector<CandidateNetwork>& cns,
-                       const TupleSets& ts, const SearchOptions& options,
-                       ThreadPool& pool, SharedTopK& top,
-                       std::atomic<bool>& deadline_hit,
-                       std::vector<SearchStats>& worker_stats) {
-  const auto order = SparseOrder(cns, ts);
-  const size_t stride = pool.size();
-  pool.RunOnAll([&](size_t w) {
-    SearchStats& ws = worker_stats[w];
-    for (size_t p = w; p < order.size(); p += stride) {
+/// kSparse: CNs in (bound descending, index ascending) order, each worker
+/// scanning its stride and asking the collector before every CN. A stop
+/// is sound per worker: everything it still owns ranks at or below the
+/// rejected bound.
+void RunSparse(Evaluation& e) {
+  const auto order = SparseOrder(e.cns, e.ts);
+  e.RunWorkers([&e, &order](size_t w) {
+    for (size_t p = w; p < order.size(); p += e.num_workers) {
       const auto& [bound, i] = order[p];
-      // The shared threshold only rises and never rejects score ties,
-      // so once this worker's (descending) bounds fall below it nothing
-      // the worker still owns can reach the final top-k: stop.
-      if (top.WouldReject(bound)) break;
-      if (options.deadline.Expired()) {
-        deadline_hit.store(true, std::memory_order_relaxed);
-        break;
-      }
-      SimulateCnIo(options.simulated_cn_io_micros);
-      ExecStats es;
-      auto results = ExecuteCn(db, cns[i], ts, {}, SIZE_MAX, &es, nullptr,
-                               &options.deadline);
-      ++ws.cns_evaluated;
-      AddExec(es, &ws);
-      for (const JoinedTree& jt : results) {
-        top.Offer(w, jt.score, MakeResult(i, cns[i], jt));
-      }
+      const ResultCollector::Verdict v = e.out.Admit(i, bound);
+      if (v == ResultCollector::Verdict::kStop) break;
+      if (v == ResultCollector::Verdict::kSkip) continue;
+      if (e.Expired()) break;
+      e.Execute(w, i, {});
+      ++e.worker_stats[w].cns_evaluated;
     }
   });
 }
 
-void RunGlobalPipelineParallel(const relational::Database& db,
-                               const std::vector<CandidateNetwork>& cns,
-                               const TupleSets& ts,
-                               const SearchOptions& options,
-                               ThreadPool& pool, SharedTopK& top,
-                               std::atomic<bool>& deadline_hit,
-                               std::vector<SearchStats>& worker_stats,
-                               SearchStats* stats) {
+/// kGlobalPipeline: serial admission, parallel verification. The
+/// coordinator admits combinations in bound order (expanding their
+/// successors as it goes) in waves, then the wave's verifications fan out
+/// over the workers. Between waves the collector is quiescent, so the
+/// admission decisions — and with them candidates_verified — are
+/// deterministic for a fixed worker count. One worker admits one item per
+/// wave, which is the classic one-at-a-time pipeline; more workers admit
+/// 4 per worker, which only ever verifies combinations a one-item wave
+/// might also have verified before its threshold rose.
+void RunGlobalPipeline(Evaluation& e) {
   CombinationQueue pq;
-  std::vector<CnState> states = InitPipeline(cns, ts, pq);
-
-  // Serial admission, parallel verification: combinations are admitted
-  // (and their successors expanded) in waves of batch_size, then each
-  // wave's ExecuteCn verifications fan out over the pool. Between waves
-  // the collector is quiescent, so the admission decisions — and with
-  // them candidates_verified — are deterministic for a fixed thread
-  // count; admitting a wave at a time only ever verifies combinations
-  // the serial path might also have verified before its threshold rose.
-  DeadlineChecker checker(options.deadline, 16);
-  const size_t stride = pool.size();
-  const size_t batch_size = stride * 4;
-  std::vector<QueueItem> batch;
+  std::vector<CnState> states = InitPipeline(e.cns, e.ts, pq);
+  DeadlineChecker checker(e.options.deadline, 16);
+  const size_t wave_size = e.num_workers == 1 ? 1 : 4 * e.num_workers;
+  std::vector<QueueItem> wave;
   bool stop = false;
   while (!pq.empty() && !stop) {
-    batch.clear();
-    while (!pq.empty() && batch.size() < batch_size) {
+    wave.clear();
+    while (!pq.empty() && wave.size() < wave_size) {
       QueueItem item = pq.top();
       pq.pop();
-      // The score-only threshold never rejects ties, so a rejection
-      // bounds everything left in the queue strictly: stop for good.
-      if (top.WouldReject(item.bound)) {
+      // Everything still queued is bounded by item.bound, so a stop
+      // verdict is final.
+      const ResultCollector::Verdict v = e.out.Admit(item.cn, item.bound);
+      if (v == ResultCollector::Verdict::kSkip) continue;
+      if (v == ResultCollector::Verdict::kStop) {
         stop = true;
         break;
       }
       if (checker.Expired()) {
-        deadline_hit.store(true, std::memory_order_relaxed);
+        e.deadline_hit.store(true, std::memory_order_relaxed);
         stop = true;
         break;
       }
-      ExpandSuccessors(cns[item.cn], states[item.cn], item, pq);
-      batch.push_back(std::move(item));
+      ExpandSuccessors(e.cns[item.cn], states[item.cn], item, pq);
+      wave.push_back(std::move(item));
     }
-    if (batch.empty()) break;
-    pool.RunOnAll([&](size_t w) {
-      SearchStats& ws = worker_stats[w];
-      for (size_t p = w; p < batch.size(); p += stride) {
-        const QueueItem& item = batch[p];
-        if (options.deadline.Expired()) {
-          deadline_hit.store(true, std::memory_order_relaxed);
-          break;
+    if (wave.empty()) break;
+    e.RunWorkers([&e, &wave, &states](size_t w) {
+      for (size_t p = w; p < wave.size(); p += e.num_workers) {
+        if (e.Expired()) break;
+        const QueueItem& item = wave[p];
+        const CnState& st = states[item.cn];
+        Pins pins(e.cns[item.cn].nodes.size());
+        for (size_t d = 0; d < st.kw_nodes.size(); ++d) {  // bounded by keyword count -- kwslint: allow(deadline-loop)
+          pins[st.kw_nodes[d]] = (*st.lists[d])[item.idx[d]].row;
         }
-        SimulateCnIo(options.simulated_cn_io_micros);
-        ExecStats es;
-        auto results = VerifyCombination(db, cns[item.cn], states[item.cn],
-                                         item, ts, options.deadline, &es);
-        ++ws.candidates_verified;
-        AddExec(es, &ws);
-        for (const JoinedTree& jt : results) {
-          top.Offer(w, jt.score, MakeResult(item.cn, cns[item.cn], jt));
-        }
+        e.Execute(w, item.cn, pins);
+        ++e.worker_stats[w].candidates_verified;
       }
     });
   }
-  CountAdmitted(states, stats);
+  for (const CnState& st : states) e.cns_admitted += st.admitted;
+}
+
+/// The one evaluation front end. Returns false, with no span emitted,
+/// when the deadline had already expired on entry.
+bool Evaluate(const relational::Database& db,
+              const std::vector<CandidateNetwork>& cns, const TupleSets& ts,
+              const SearchOptions& options, ResultCollector& out,
+              SearchStats* stats) {
+  if (stats != nullptr) {
+    *stats = SearchStats{};
+    stats->cns_enumerated = cns.size();
+  }
+  if (options.deadline.Expired()) {
+    if (stats != nullptr) stats->deadline_hit = true;
+    return false;
+  }
+  Evaluation e{db, cns, ts, options, out,
+               std::max<size_t>(1, options.num_threads)};
+  e.worker_stats.resize(e.num_workers);
+  if (e.num_workers > 1) {
+    e.pool.emplace(e.num_workers);
+    if (options.tracer != nullptr && options.strategy == Strategy::kNaive) {
+      e.worker_tracers.resize(e.num_workers);
+    }
+  }
+  trace::TraceSpan exec_span(options.tracer, ExecSpanName(options.strategy));
+  switch (options.strategy) {
+    case Strategy::kNaive:
+      RunNaive(e);
+      break;
+    case Strategy::kSparse:
+      RunSparse(e);
+      break;
+    case Strategy::kGlobalPipeline:
+      RunGlobalPipeline(e);
+      break;
+  }
+  if (!e.worker_tracers.empty()) {
+    // Deterministic fold: children order by CN-index sort key, so the
+    // merged tree matches the one-worker span structure bit for bit.
+    options.tracer->MergeWorkers(&e.worker_tracers);
+  }
+  SearchStats total;
+  total.cns_enumerated = cns.size();
+  total.cns_evaluated = e.cns_admitted;
+  for (const SearchStats& ws : e.worker_stats) {
+    total.cns_evaluated += ws.cns_evaluated;
+    total.results_materialized += ws.results_materialized;
+    total.join_lookups += ws.join_lookups;
+    total.candidates_verified += ws.candidates_verified;
+  }
+  total.deadline_hit = e.deadline_hit.load(std::memory_order_relaxed);
+  // The execution span mirrors the aggregate work counters; under kSparse
+  // / kGlobalPipeline their values may vary with the worker count, like
+  // the SearchStats they copy.
+  exec_span.AddCounter("cns_evaluated", total.cns_evaluated);
+  exec_span.AddCounter("results_materialized", total.results_materialized);
+  exec_span.AddCounter("join_lookups", total.join_lookups);
+  exec_span.AddCounter("candidates_verified", total.candidates_verified);
+  if (stats != nullptr) *stats = total;
+  return true;
 }
 
 }  // namespace
@@ -468,126 +425,34 @@ std::vector<SearchResult> EvaluateCns(const relational::Database& db,
                                       const TupleSets& ts,
                                       const SearchOptions& options,
                                       SearchStats* stats) {
-  // Every exit path publishes a complete stats set: value-initialize the
-  // caller's struct up front so early returns never leave stale values
-  // from a previous search behind.
-  if (stats != nullptr) *stats = SearchStats{};
-  trace::Tracer* const tracer = options.tracer;
-  // The trace mirrors the stats, so tracing needs them even when the
-  // caller passed none.
-  SearchStats local_stats;
-  SearchStats* const st =
-      stats != nullptr ? stats : (tracer != nullptr ? &local_stats : nullptr);
-  if (st != nullptr) st->cns_enumerated = cns.size();
-
-  const size_t num_threads = std::max<size_t>(1, options.num_threads);
-  bool deadline_hit = false;
-  std::vector<SearchResult> ranked;
-  if (options.deadline.Expired()) {
-    deadline_hit = true;
-  } else if (num_threads == 1) {
-    trace::TraceSpan exec_span(tracer, ExecSpanName(options.strategy));
-    ResultTopK top(options.k);
-    switch (options.strategy) {
-      case Strategy::kNaive:
-        RunNaive(db, cns, ts, options, &deadline_hit, top, st, tracer);
-        break;
-      case Strategy::kSparse:
-        RunSparse(db, cns, ts, options, &deadline_hit, top, st);
-        break;
-      case Strategy::kGlobalPipeline:
-        RunGlobalPipeline(db, cns, ts, options, &deadline_hit, top, st);
-        break;
+  if (options.k == 0) {
+    // Nothing can enter an empty top-k: evaluate nothing.
+    if (stats != nullptr) {
+      *stats = SearchStats{};
+      stats->cns_enumerated = cns.size();
     }
-    AnnotateExec(&exec_span, st);
-    exec_span.Close();
-    trace::TraceSpan topk_span(tracer, "cn.topk");
-    ranked = top.TakeSorted();
-    topk_span.AddCounter("results", ranked.size());
-  } else {
-    ThreadPool pool(num_threads);
-    SharedTopK top(options.k, num_threads);
-    std::atomic<bool> hit{false};
-    std::vector<SearchStats> worker_stats(num_threads);
-    trace::TraceSpan exec_span(tracer, ExecSpanName(options.strategy));
-    // Per-worker tracers keep recording thread-local; only kNaive emits
-    // per-CN spans (see RunNaive), so only it pays for the merge.
-    std::vector<trace::Tracer> worker_tracers(
-        tracer != nullptr && options.strategy == Strategy::kNaive
-            ? num_threads
-            : 0);
-    switch (options.strategy) {
-      case Strategy::kNaive:
-        RunNaiveParallel(db, cns, ts, options, pool, top, hit, worker_stats,
-                         worker_tracers.empty() ? nullptr : &worker_tracers);
-        break;
-      case Strategy::kSparse:
-        RunSparseParallel(db, cns, ts, options, pool, top, hit,
-                          worker_stats);
-        break;
-      case Strategy::kGlobalPipeline:
-        RunGlobalPipelineParallel(db, cns, ts, options, pool, top, hit,
-                                  worker_stats, st);
-        break;
-    }
-    if (!worker_tracers.empty()) {
-      // Deterministic fold: children order by CN-index sort key, so the
-      // merged tree matches the serial span structure bit for bit.
-      tracer->MergeWorkers(&worker_tracers);
-    }
-    if (st != nullptr) {
-      for (const SearchStats& ws : worker_stats) {
-        st->cns_evaluated += ws.cns_evaluated;
-        st->results_materialized += ws.results_materialized;
-        st->join_lookups += ws.join_lookups;
-        st->candidates_verified += ws.candidates_verified;
-      }
-    }
-    AnnotateExec(&exec_span, st);
-    exec_span.Close();
-    if (hit.load(std::memory_order_relaxed)) deadline_hit = true;
-    trace::TraceSpan topk_span(tracer, "cn.topk");
-    ranked = top.TakeSorted();
-    topk_span.AddCounter("results", ranked.size());
+    return {};
   }
-  if (st != nullptr) st->deadline_hit = deadline_hit;
-  return ranked;
+  const auto rank = [&](auto& top) -> std::vector<SearchResult> {
+    if (!Evaluate(db, cns, ts, options, top, stats)) return {};
+    trace::TraceSpan topk_span(options.tracer, "cn.topk");
+    std::vector<SearchResult> ranked = top.TakeSorted();
+    topk_span.AddCounter("results", ranked.size());
+    return ranked;
+  };
+  if (options.num_threads <= 1) {
+    PrivateTopK top(options.k);
+    return rank(top);
+  }
+  SharedTopK top(options.k, options.num_threads);
+  return rank(top);
 }
 
-void EvaluateCnsSparseToSink(
-    const relational::Database& db, const std::vector<CandidateNetwork>& cns,
-    const TupleSets& ts, const SearchOptions& options,
-    const std::function<bool(double)>& would_reject,
-    const std::function<void(SearchResult)>& emit, SearchStats* stats) {
-  if (stats != nullptr) {
-    *stats = SearchStats{};
-    stats->cns_enumerated = cns.size();
-  }
-  if (options.deadline.Expired()) {
-    if (stats != nullptr) stats->deadline_hit = true;
-    return;
-  }
-  // Same loop as RunSparse, with the caller's collector standing in for
-  // the private top-k: the probe is the bare bound (the collector's
-  // threshold is score-primary and tie-keeping, so no tie-break key is
-  // needed), and results stream out instead of being ranked here.
-  const auto order = SparseOrder(cns, ts);
-  for (const auto& [bound, i] : order) {
-    if (would_reject(bound)) break;
-    if (options.deadline.Expired()) {
-      if (stats != nullptr) stats->deadline_hit = true;
-      break;
-    }
-    SimulateCnIo(options.simulated_cn_io_micros);
-    ExecStats es;
-    auto results = ExecuteCn(db, cns[i], ts, {}, SIZE_MAX, &es, nullptr,
-                             &options.deadline);
-    if (stats != nullptr) ++stats->cns_evaluated;
-    AddExec(es, stats);
-    for (const JoinedTree& jt : results) {
-      emit(MakeResult(i, cns[i], jt));
-    }
-  }
+void EvaluateCnsInto(const relational::Database& db,
+                     const std::vector<CandidateNetwork>& cns,
+                     const TupleSets& ts, const SearchOptions& options,
+                     ResultCollector& collector, SearchStats* stats) {
+  Evaluate(db, cns, ts, options, collector, stats);
 }
 
 std::vector<SearchResult> CnKeywordSearch::Search(

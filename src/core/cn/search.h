@@ -1,7 +1,6 @@
 #ifndef KWDB_CORE_CN_SEARCH_H_
 #define KWDB_CORE_CN_SEARCH_H_
 
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -42,8 +41,8 @@ struct SearchResult {
 /// ascending, then tuples ascending (lexicographic). This is a strict
 /// total order over distinct results, so the ranked list — ties included
 /// — is a pure function of the result *set*: identical across the three
-/// strategies and across serial and parallel execution, which is the
-/// invariant the parallel-vs-serial oracle test enforces.
+/// strategies, every thread count and every shard count, which is what
+/// the brute-force oracle tests (tests/cn_parallel_test.cc) enforce.
 struct SearchResultOrder {
   bool operator()(const SearchResult& a, const SearchResult& b) const {
     if (a.score != b.score) return a.score > b.score;
@@ -65,13 +64,14 @@ struct SearchOptions {
   /// Optional shared term -> tuple-set frontier cache. Not owned; must
   /// outlive the search. Results are identical with or without it.
   TupleSetCache* tuple_cache = nullptr;
-  /// Worker threads for CN evaluation. 1 (the default) runs the serial
-  /// path — no pool, no atomics. n > 1 evaluates independent CNs (for
-  /// kGlobalPipeline: candidate combinations) concurrently over the
-  /// shared tuple sets into a `ConcurrentTopK`, with static striding
-  /// (worker w owns items i with i % n == w). Results are bit-identical
-  /// to the serial path for every thread count; the work counters in
-  /// SearchStats stay exact sums of the work done, but under kSparse /
+  /// Worker threads for CN evaluation. Every strategy is one loop over
+  /// (worker w, stride n): worker w owns items i with i % n == w. 1 (the
+  /// default) runs the same loop inline on the calling thread into a
+  /// private top-k — no pool, no per-worker tracers. n > 1 evaluates
+  /// independent CNs (for kGlobalPipeline: candidate combinations)
+  /// concurrently over the shared tuple sets into a `ConcurrentTopK`.
+  /// Results are bit-identical for every thread count; the work counters
+  /// in SearchStats stay exact sums of the work done, but under kSparse /
   /// kGlobalPipeline how much work the shared score threshold prunes may
   /// vary with thread count.
   size_t num_threads = 1;
@@ -86,9 +86,9 @@ struct SearchOptions {
   /// search). When set, the search wraps each phase in spans
   /// (`cn.tuple_sets`, `cn.enumerate`, `cn.execute.<strategy>`,
   /// `cn.topk`) with work counters; kNaive additionally gets one
-  /// `cn.eval` span per CN, merged deterministically from the parallel
-  /// workers. Span *structure* (names, nesting, events) is independent
-  /// of `num_threads` for every strategy; under kSparse /
+  /// `cn.eval` span per CN, merged deterministically from the workers
+  /// when there are several. Span *structure* (names, nesting, events) is
+  /// independent of `num_threads` for every strategy; under kSparse /
   /// kGlobalPipeline the aggregate counter *values* may vary with thread
   /// count exactly like the SearchStats they mirror.
   trace::Tracer* tracer = nullptr;
@@ -112,15 +112,46 @@ struct SearchStats {
   bool deadline_hit = false;
 };
 
+/// Where an evaluation loop sends its results. Each strategy is written
+/// once, as a loop over (worker w, stride n) that asks the collector about
+/// every item's score bound and offers it every result. `EvaluateCns`
+/// plugs in a private exact top-k at one worker and a shared
+/// `ConcurrentTopK` at several; a caller with its own selection (the
+/// `kws::shard` gather) passes its collector to `EvaluateCnsInto`. With
+/// more than one worker both methods are called concurrently.
+class ResultCollector {
+ public:
+  /// What a loop does with its next item.
+  enum class Verdict {
+    kEvaluate,  // evaluate the item
+    kSkip,      // drop this item, keep scanning
+    kStop,      // drop this item and everything the worker still owns
+  };
+
+  /// The verdict for an item of CN `cn_index` whose results score at most
+  /// `bound`. kSparse and kGlobalPipeline ask before every item, scanning
+  /// in bound-descending order; kNaive never asks. A stop must be sound:
+  /// no result scoring at most `bound` may belong in the final answer.
+  virtual Verdict Admit(size_t cn_index, double bound) const = 0;
+
+  /// Takes one result produced by worker `worker` (< num_threads).
+  virtual void Offer(size_t worker, SearchResult result) = 0;
+
+ protected:
+  /// Collectors are owned by their callers, never deleted through this
+  /// interface.
+  ~ResultCollector() = default;
+};
+
 /// Evaluates an already-enumerated CN list over already-built tuple sets
 /// and returns the ranked top-k — the back half of `CnKeywordSearch::
-/// Search`, exposed so a coordinator can enumerate once and evaluate the
-/// same list against many tuple-set builds (`kws::shard` evaluates one
-/// global CN list per shard). Honors `options.strategy`, `options.k`,
-/// `options.num_threads`, `options.deadline` and `options.tracer`
-/// (emitting the `cn.execute.<strategy>` / `cn.topk` spans); ignores
-/// `options.tuple_cache` (the tuple sets are the caller's). `stats`, when
-/// non-null, is value-initialized and fully filled, with
+/// Search`, exposed so a caller can enumerate once and evaluate the same
+/// list against other tuple-set builds. Honors `options.strategy`,
+/// `options.k`, `options.num_threads`, `options.deadline` and
+/// `options.tracer` (emitting the `cn.execute.<strategy>` / `cn.topk`
+/// spans); ignores `options.tuple_cache` (the tuple sets are the
+/// caller's). `k == 0` returns an empty list without evaluating. `stats`,
+/// when non-null, is value-initialized and fully filled, with
 /// `cns_enumerated = cns.size()`; deadline expiry sets
 /// `stats->deadline_hit` but emits no trace event — the caller owns the
 /// enclosing span and its `<layer>.deadline.hit` event.
@@ -130,24 +161,17 @@ std::vector<SearchResult> EvaluateCns(const relational::Database& db,
                                       const SearchOptions& options,
                                       SearchStats* stats = nullptr);
 
-/// kSparse evaluation against a caller-owned collector: CNs run in
-/// (bound descending, index ascending) order, `would_reject(bound)` is
-/// consulted before each CN (a `true` stops the whole scan — the sparse
-/// break), and every materialized result is handed to `emit` instead of
-/// a private top-k. This is how a scatter-gather coordinator shares one
-/// early-termination threshold across shard evaluations (`kws::shard`):
-/// sound whenever the caller's threshold is a monotone nondecreasing
-/// lower bound on its final k-th best score and `would_reject` keeps
-/// score ties (`ConcurrentTopK::WouldReject` is both). Honors
-/// `options.deadline` and `options.simulated_cn_io_micros`; ignores
-/// `options.strategy`, `options.k` and `options.num_threads` (the
-/// collector owns selection). `stats` follows the `EvaluateCns` contract.
-void EvaluateCnsSparseToSink(
-    const relational::Database& db, const std::vector<CandidateNetwork>& cns,
-    const TupleSets& ts, const SearchOptions& options,
-    const std::function<bool(double)>& would_reject,
-    const std::function<void(SearchResult)>& emit,
-    SearchStats* stats = nullptr);
+/// The same evaluation against a caller-owned collector, which owns
+/// selection: `options.k` is ignored, every other field is honored as by
+/// `EvaluateCns` (the `cn.topk` span is the caller's). This is how a
+/// scatter-gather coordinator shares one early-termination threshold
+/// across shard evaluations (`kws::shard`). `stats` follows the
+/// `EvaluateCns` contract.
+void EvaluateCnsInto(const relational::Database& db,
+                     const std::vector<CandidateNetwork>& cns,
+                     const TupleSets& ts, const SearchOptions& options,
+                     ResultCollector& collector,
+                     SearchStats* stats = nullptr);
 
 /// Schema-based relational keyword search (the DISCOVER / DISCOVER2 /
 /// SPARK family's front half): enumerate CNs once per query, then answer

@@ -31,6 +31,42 @@ select::SelectorOptions PruningSelectorOptions(
   return so;
 }
 
+using Gather = ConcurrentTopK<cn::SearchResult, cn::SearchResultOrder>;
+
+/// Shard `s`'s collector: the gather's score-only threshold decides (it
+/// never rejects a tie, so a rejection is a stop), and each result is
+/// shifted to combined row ids — a per-table monotone shift, so the
+/// shard-local result order is the global order restricted to this shard
+/// — then offered to the shard's slot.
+class GatherSlot final : public cn::ResultCollector {
+ public:
+  GatherSlot(Gather& top, size_t slot,
+             const std::vector<relational::RowId>& row_offsets)
+      : top_(top), slot_(slot), row_offsets_(row_offsets) {}
+
+  Verdict Admit(size_t /*cn_index*/, double bound) const override {
+    return top_.WouldReject(bound) ? Verdict::kStop : Verdict::kEvaluate;
+  }
+
+  void Offer(size_t /*worker*/, cn::SearchResult result) override {
+    for (relational::TupleId& tid : result.tuples) {
+      tid.row += row_offsets_[tid.table];
+    }
+    ++offered_;
+    const double score = result.score;
+    top_.Offer(slot_, score, std::move(result));
+  }
+
+  /// Results offered to the gather so far.
+  size_t offered() const { return offered_; }
+
+ private:
+  Gather& top_;
+  const size_t slot_;
+  const std::vector<relational::RowId>& row_offsets_;
+  size_t offered_ = 0;
+};
+
 }  // namespace
 
 ShardedEngine::ShardedEngine(const ShardedCorpus& corpus,
@@ -172,11 +208,10 @@ ShardedResponse ShardedEngine::Search(
   for (size_t s = 0; s < n; ++s) {
     if (!stats.shard_pruned[s]) searched.push_back(s);
   }
-  // One collector slot per shard: each slot keeps its shard's exact
-  // top-k, so the merge is the exact global top-k no matter how the
+  // One collector slot per shard: each slot keeps the k best its shard
+  // offered, so the merge is the exact global top-k no matter how the
   // scatter was threaded.
-  ConcurrentTopK<cn::SearchResult, cn::SearchResultOrder> top(
-      std::max<size_t>(1, options.k), n);
+  Gather top(options.k, n);
   std::vector<char> shard_hit(n, 0);
   trace::TraceSpan scatter_span(tracer, "shard.scatter");
   scatter_span.AddCounter("fanout", stats.shards_searched);
@@ -204,51 +239,17 @@ ShardedResponse ShardedEngine::Search(
       return;
     }
     cn::SearchOptions so;
-    so.k = options.k;
-    so.max_cn_size = options_.max_cn_size;
     so.strategy = options.strategy;
     so.deadline = shard_deadline;
     so.num_threads = 1;
     so.simulated_cn_io_micros = options.simulated_cn_io_micros;
+    // Once k results exist *anywhere*, a shard whose remaining bounds fall
+    // below the global k-th score stops paying round-trips.
+    GatherSlot slot(top, s, corpus_.row_offsets[s]);
     cn::SearchStats sstats;
-    // Local -> global row ids: a per-table monotone shift, so the
-    // shard-local result order is the global order restricted to this
-    // shard.
-    const auto to_global = [&](cn::SearchResult r) {
-      for (relational::TupleId& tid : r.tuples) {
-        tid.row += corpus_.row_offsets[s][tid.table];
-      }
-      return r;
-    };
-    size_t offered = 0;
-    if (options.strategy == cn::Strategy::kSparse) {
-      // The default path shares the gather collector's threshold across
-      // every shard evaluation: once k results exist *anywhere*, a shard
-      // whose remaining CN bounds fall below the global k-th score stops
-      // paying round-trips — the cross-shard analogue of the serial
-      // sparse break, and sound for the same tie-keeping reason.
-      cn::EvaluateCnsSparseToSink(
-          db, cns, ts, so,
-          [&top](double bound) { return top.WouldReject(bound); },
-          [&](cn::SearchResult r) {
-            r = to_global(std::move(r));
-            ++offered;
-            const double score = r.score;
-            top.Offer(s, score, std::move(r));
-          },
-          &sstats);
-    } else {
-      std::vector<cn::SearchResult> local =
-          cn::EvaluateCns(db, cns, ts, so, &sstats);
-      offered = local.size();
-      for (cn::SearchResult& r : local) {
-        r = to_global(std::move(r));
-        const double score = r.score;
-        top.Offer(s, score, std::move(r));
-      }
-    }
+    cn::EvaluateCnsInto(db, cns, ts, so, slot, &sstats);
     if (sstats.deadline_hit) shard_hit[s] = 1;
-    stats.shard_results[s] = offered;
+    stats.shard_results[s] = slot.offered();
     stats.shard_cns_evaluated[s] = sstats.cns_evaluated;
   };
   const auto run_shard = [&](size_t s) {

@@ -73,10 +73,11 @@ struct ShardedSearchStats {
   /// Per shard: true when pruning skipped it.
   std::vector<bool> shard_pruned;
   /// Per shard: results its evaluation materialized and offered to the
-  /// gather — always 0 for pruned shards and for shards that cannot
-  /// contribute. Under kSparse the shared early-termination threshold
-  /// makes the exact counts schedule-dependent (like the kSparse
-  /// aggregate counters of `cn::SearchStats`); the merged top-k never is.
+  /// gather, for every strategy — always 0 for pruned shards and for
+  /// shards that cannot contribute. With more than one scatter thread the
+  /// shared early-termination threshold makes the exact counts
+  /// schedule-dependent (like the kSparse aggregate counters of
+  /// `cn::SearchStats`); the merged top-k never is.
   std::vector<size_t> shard_results;
   /// Per shard: CNs its evaluation admitted — the per-shard round-trip
   /// count a real deployment would pay. Schedule-dependent under kSparse
@@ -123,12 +124,14 @@ struct ShardedExplainResult {
 /// IDFs and table masks are derived from summed per-shard statistics, and
 /// ONE candidate-network list is enumerated — then fanned out over a
 /// `ThreadPool` with static striding and merged through `ConcurrentTopK`
-/// under `cn::SearchResultOrder`. Under kSparse (the default) the
-/// collector's threshold — the global k-th best score offered so far —
-/// is shared back into every shard's evaluation
-/// (`cn::EvaluateCnsSparseToSink`), so shards stop paying per-CN
-/// round-trips as soon as the *merged* top-k says their remaining bounds
-/// cannot contribute, not only when their own local top-k fills.
+/// under `cn::SearchResultOrder`. Each shard evaluates straight into its
+/// gather slot (`cn::EvaluateCnsInto` with a `cn::ResultCollector`, the
+/// same loop for every strategy), so the collector's threshold — the
+/// global k-th best score offered so far — is shared back into every
+/// shard's evaluation: under kSparse and kGlobalPipeline shards stop
+/// paying per-CN round-trips as soon as the *merged* top-k says their
+/// remaining bounds cannot contribute, not only when their own local
+/// top-k fills.
 ///
 /// Determinism contract (tests/shard_test.cc): the merged top-k equals
 /// the unsharded engine's answer bit for bit, for every seed, shard
@@ -136,8 +139,8 @@ struct ShardedExplainResult {
 /// per-row scores identical; key remapping (see `ShardedCorpus`) keeps
 /// every join inside one shard; the shared CN list keeps `cn_index`
 /// aligned; monotone row offsets keep tuple tie-breaks aligned; and each
-/// shard contributes its exact serial top-k, of which the gather keeps
-/// the global k best.
+/// shard's gather slot keeps the k best its shard offered, of which the
+/// merge keeps the global k best.
 class ShardedEngine {
  public:
   /// Builds per-shard machinery: tuple-set caches and the shard selector

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <memory>
 #include <string>
@@ -11,10 +12,13 @@
 #include "common/thread_pool.h"
 #include "common/topk.h"
 #include "core/cn/candidate_network.h"
+#include "core/cn/execute.h"
 #include "core/cn/search.h"
 #include "core/cn/tuple_sets.h"
 #include "relational/database.h"
 #include "relational/dblp.h"
+#include "shard/sharded_corpus.h"
+#include "shard/sharded_engine.h"
 #include "text/tokenizer.h"
 
 namespace kws::cn {
@@ -102,7 +106,7 @@ TEST(ConcurrentTopKTest, ThresholdIsLowerBoundAndNeverRejectsTies) {
   EXPECT_TRUE(replay.WouldReject(-1.0));
 }
 
-// ----------------------------------------------- parallel-vs-serial oracle
+// ------------------------------------------------ brute-force reference
 
 void ExpectSameResults(const std::vector<SearchResult>& got,
                        const std::vector<SearchResult>& want,
@@ -115,56 +119,110 @@ void ExpectSameResults(const std::vector<SearchResult>& got,
   }
 }
 
-/// Bit-identical results for every strategy and thread count, per seed.
-class ParallelOracleTest : public ::testing::TestWithParam<uint64_t> {};
+/// The reference every evaluation path is judged against: enumerate the
+/// CNs, join every one of them in full with `ExecuteCn` (no bound, no
+/// threshold, no collector, no strategy code), sort all results by
+/// `SearchResultOrder` and keep the first `k`. The CN list is built
+/// exactly as `CnKeywordSearch::Search` builds it, so `cn_index` lines up.
+std::vector<SearchResult> BruteForceTopK(const relational::Database& db,
+                                         const std::string& query, size_t k,
+                                         size_t max_cn_size) {
+  const std::vector<std::string> keywords = text::Tokenizer().Tokenize(query);
+  const TupleSets ts(db, keywords);
+  const std::vector<CandidateNetwork> cns = EnumerateCandidateNetworks(
+      db, ts.table_masks(), ts.full_mask(), {.max_size = max_cn_size});
+  std::vector<SearchResult> all;
+  for (size_t i = 0; i < cns.size(); ++i) {
+    for (const JoinedTree& jt : ExecuteCn(db, cns[i], ts)) {
+      SearchResult r;
+      r.cn_index = i;
+      r.score = jt.score;
+      for (uint32_t n = 0; n < cns[i].nodes.size(); ++n) {
+        r.tuples.push_back(relational::TupleId{cns[i].nodes[n].table,
+                                               jt.rows[n]});
+      }
+      all.push_back(std::move(r));
+    }
+  }
+  std::sort(all.begin(), all.end(), SearchResultOrder());
+  if (all.size() > k) all.resize(k);
+  return all;
+}
 
-TEST_P(ParallelOracleTest, ParallelMatchesSerialBitForBit) {
+relational::DblpOptions OracleDblp(uint64_t seed) {
   relational::DblpOptions opts;
-  opts.seed = GetParam();
+  opts.seed = seed;
   opts.num_authors = 40;
   opts.num_papers = 80;
   opts.num_conferences = 6;
-  relational::DblpDatabase dblp = MakeDblpDatabase(opts);
+  return opts;
+}
+
+const std::vector<std::string>& OracleQueries() {
+  static const std::vector<std::string> kQueries = {"keyword search",
+                                                    "database query", "xml"};
+  return kQueries;
+}
+
+// The k sweep moves the k-th score across bounds and ties, so the stop and
+// skip decisions matter: at k = 10 alone a 3% over-tight bound and a tie
+// that stops instead of skipping both go unnoticed (k = 1 and 25 catch
+// them).
+constexpr size_t kOracleKs[] = {1, 3, 10, 25};
+
+constexpr Strategy kStrategies[] = {Strategy::kNaive, Strategy::kSparse,
+                                    Strategy::kGlobalPipeline};
+
+/// Every strategy at every thread count returns the brute-force ranked
+/// list bit for bit, ties included, per seed.
+class ParallelOracleTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(ParallelOracleTest, EveryThreadCountMatchesBruteForce) {
+  relational::DblpDatabase dblp = MakeDblpDatabase(OracleDblp(GetParam()));
   CnKeywordSearch search(*dblp.db);
-  const std::vector<std::string> queries = {"keyword search",
-                                            "database query", "xml"};
-  const Strategy strategies[] = {Strategy::kNaive, Strategy::kSparse,
-                                 Strategy::kGlobalPipeline};
-  for (const std::string& query : queries) {
-    for (Strategy strategy : strategies) {
-      SearchOptions so;
-      so.k = 10;
-      so.max_cn_size = 4;
-      so.strategy = strategy;
-      SearchStats serial_stats;
-      const auto serial = search.Search(query, so, nullptr, &serial_stats);
-      EXPECT_FALSE(serial_stats.deadline_hit);
-      for (const size_t threads : {2u, 4u, 8u}) {
-        so.num_threads = threads;
-        SearchStats stats;
-        const auto parallel = search.Search(query, so, nullptr, &stats);
-        const std::string context = query + " / " +
-                                    StrategyToString(strategy) + " / " +
-                                    std::to_string(threads) + " threads";
-        ExpectSameResults(parallel, serial, context);
-        EXPECT_FALSE(stats.deadline_hit) << context;
-        EXPECT_EQ(stats.cns_enumerated, serial_stats.cns_enumerated)
-            << context;
-        if (strategy == Strategy::kNaive) {
-          // No pruning anywhere: the parallel work counters are exact and
-          // equal to the serial ones.
-          EXPECT_EQ(stats.cns_evaluated, serial_stats.cns_evaluated)
+  for (const std::string& query : OracleQueries()) {
+    for (const size_t k : kOracleKs) {
+      const std::vector<SearchResult> want =
+          BruteForceTopK(*dblp.db, query, k, /*max_cn_size=*/4);
+      for (Strategy strategy : kStrategies) {
+        SearchOptions so;
+        so.k = k;
+        so.max_cn_size = 4;
+        so.strategy = strategy;
+        SearchStats one_thread;
+        for (const size_t threads : {1u, 2u, 4u, 8u}) {
+          so.num_threads = threads;
+          SearchStats stats;
+          const auto got = search.Search(query, so, nullptr, &stats);
+          const std::string context =
+              query + " / k=" + std::to_string(k) + " / " +
+              StrategyToString(strategy) + " / " + std::to_string(threads) +
+              " threads";
+          ExpectSameResults(got, want, context);
+          EXPECT_FALSE(stats.deadline_hit) << context;
+          if (threads == 1) {
+            one_thread = stats;
+            continue;
+          }
+          EXPECT_EQ(stats.cns_enumerated, one_thread.cns_enumerated)
               << context;
-          EXPECT_EQ(stats.results_materialized,
-                    serial_stats.results_materialized)
-              << context;
-          EXPECT_EQ(stats.join_lookups, serial_stats.join_lookups) << context;
-        }
-        if (strategy == Strategy::kGlobalPipeline) {
-          // Admission is serial in both variants: the admitted-CN count
-          // is thread-count independent.
-          EXPECT_EQ(stats.cns_evaluated, serial_stats.cns_evaluated)
-              << context;
+          if (strategy == Strategy::kNaive) {
+            // No pruning anywhere: the work counters are exact and equal
+            // at every thread count.
+            EXPECT_EQ(stats.cns_evaluated, one_thread.cns_evaluated)
+                << context;
+            EXPECT_EQ(stats.results_materialized,
+                      one_thread.results_materialized)
+                << context;
+            EXPECT_EQ(stats.join_lookups, one_thread.join_lookups)
+                << context;
+          }
+          if (strategy == Strategy::kGlobalPipeline) {
+            // Admission is serial at every thread count: the admitted-CN
+            // count is thread-count independent.
+            EXPECT_EQ(stats.cns_evaluated, one_thread.cns_evaluated)
+                << context;
+          }
         }
       }
     }
@@ -172,6 +230,45 @@ TEST_P(ParallelOracleTest, ParallelMatchesSerialBitForBit) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, ParallelOracleTest,
+                         ::testing::Values(3, 17, 29, 71));
+
+/// The scatter-gather path against the same reference: every strategy
+/// and shard count merges to the brute-force top-k of the combined
+/// database.
+class ShardedOracleTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(ShardedOracleTest, EveryStrategyAndShardCountMatchesBruteForce) {
+  shard::ShardedEngineOptions eo;
+  eo.max_cn_size = 4;
+  for (const size_t shards : {1u, 2u, 4u}) {
+    const shard::ShardedCorpus corpus =
+        shard::MakeShardedDblp(OracleDblp(GetParam()), shards);
+    const shard::ShardedEngine engine(corpus, eo);
+    for (const std::string& query : OracleQueries()) {
+      for (const size_t k : kOracleKs) {
+        const std::vector<SearchResult> want =
+            BruteForceTopK(*corpus.combined, query, k, eo.max_cn_size);
+        for (Strategy strategy : kStrategies) {
+          for (const size_t threads : {1u, 4u}) {
+            shard::ShardedSearchOptions sso;
+            sso.k = k;
+            sso.strategy = strategy;
+            sso.num_threads = threads;
+            const shard::ShardedResponse got = engine.Search(query, sso);
+            const std::string context =
+                query + " / k=" + std::to_string(k) + " / " +
+                StrategyToString(strategy) + " / " + std::to_string(shards) +
+                " shards / " + std::to_string(threads) + " threads";
+            EXPECT_TRUE(got.status.ok()) << context;
+            ExpectSameResults(got.results, want, context);
+          }
+        }
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Sweep, ShardedOracleTest,
                          ::testing::Values(3, 17, 29, 71));
 
 /// The three strategies agree on the full ranked list — scores, CN
@@ -220,6 +317,32 @@ TEST(ParallelDeadlineTest, ExpiredBudgetIsIdenticalAcrossThreadCounts) {
     const auto results = search.Search("keyword search", so, nullptr, &stats);
     EXPECT_TRUE(results.empty()) << threads << " threads";
     EXPECT_TRUE(stats.deadline_hit) << threads << " threads";
+  }
+}
+
+TEST(ZeroKTest, EveryStrategyReturnsNothingWithStatsFilled) {
+  relational::DblpDatabase dblp = MakeDblpDatabase(OracleDblp(3));
+  CnKeywordSearch search(*dblp.db);
+  for (Strategy strategy : kStrategies) {
+    for (const size_t threads : {1u, 4u}) {
+      const std::string context = std::string(StrategyToString(strategy)) +
+                                  " / " + std::to_string(threads) +
+                                  " threads";
+      SearchOptions so;
+      so.k = 0;
+      so.max_cn_size = 4;
+      so.strategy = strategy;
+      so.num_threads = threads;
+      SearchStats stats;
+      stats.cns_evaluated = 99;  // stale values must not survive
+      std::vector<CandidateNetwork> cns;
+      const auto results = search.Search("keyword search", so, &cns, &stats);
+      EXPECT_TRUE(results.empty()) << context;
+      EXPECT_FALSE(cns.empty()) << context;
+      EXPECT_EQ(stats.cns_enumerated, cns.size()) << context;
+      EXPECT_EQ(stats.cns_evaluated, 0u) << context;
+      EXPECT_FALSE(stats.deadline_hit) << context;
+    }
   }
 }
 

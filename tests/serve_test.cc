@@ -272,6 +272,22 @@ TEST_F(ServeTest, SearchThreadsProduceIdenticalResponses) {
   }
 }
 
+TEST_F(ServeTest, ZeroKIsOkAndEmpty) {
+  for (const size_t threads : {1u, 4u}) {
+    ServeOptions so;
+    so.num_workers = 1;
+    so.search_threads = threads;
+    ServingEngine server(engine_, xml_engine_, so);
+    QueryRequest req;
+    req.query = "keyword search";
+    req.k = 0;
+    const QueryOutcome out = server.Query(req);
+    ASSERT_TRUE(out.status.ok()) << threads << " threads";
+    ASSERT_NE(out.relational, nullptr) << threads << " threads";
+    EXPECT_TRUE(out.relational->results.empty()) << threads << " threads";
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Admission control and lifecycle.
 
@@ -778,6 +794,17 @@ class ShardedServeTest : public ::testing::Test {
 
 shard::ShardedCorpus* ShardedServeTest::corpus_ = nullptr;
 shard::ShardedEngine* ShardedServeTest::sharded_ = nullptr;
+
+TEST_F(ShardedServeTest, ZeroKIsOkAndEmpty) {
+  ServingEngine server(nullptr, nullptr, sharded_, ShardedOptions());
+  QueryRequest req;
+  req.query = "keyword search";
+  req.k = 0;
+  const QueryOutcome out = server.Query(req);
+  ASSERT_TRUE(out.status.ok());
+  ASSERT_NE(out.relational, nullptr);
+  EXPECT_TRUE(out.relational->results.empty());
+}
 
 TEST_F(ShardedServeTest, RoutesRelationalQueriesToTheShardedEngine) {
   ServingEngine server(nullptr, nullptr, sharded_, ShardedOptions());

@@ -192,6 +192,38 @@ TEST(ShardedEngineTest, EmptyQueryIsOkAndEmpty) {
   EXPECT_TRUE(resp.results.empty());
 }
 
+TEST(ShardedEngineTest, ZeroKIsEmptyLikeUnsharded) {
+  const ShardedCorpus corpus = MakeShardedDblp(SmallDblp(17), 4);
+  ShardedEngineOptions eo;
+  eo.max_cn_size = 4;
+  const ShardedEngine engine(corpus, eo);
+  const cn::CnKeywordSearch oracle(*corpus.combined);
+  for (const cn::Strategy strategy :
+       {cn::Strategy::kNaive, cn::Strategy::kSparse,
+        cn::Strategy::kGlobalPipeline}) {
+    for (const size_t threads : {1u, 4u}) {
+      const std::string context = std::string(cn::StrategyToString(strategy)) +
+                                  " / " + std::to_string(threads) +
+                                  " threads";
+      cn::SearchOptions so;
+      so.k = 0;
+      so.max_cn_size = eo.max_cn_size;
+      so.strategy = strategy;
+      const std::vector<cn::SearchResult> want =
+          oracle.Search("keyword search", so, nullptr);
+      ShardedSearchOptions sso;
+      sso.k = 0;
+      sso.strategy = strategy;
+      sso.num_threads = threads;
+      const ShardedResponse got = engine.Search("keyword search", sso);
+      EXPECT_TRUE(got.status.ok()) << context;
+      EXPECT_TRUE(got.results.empty()) << context;
+      EXPECT_TRUE(got.descriptions.empty()) << context;
+      ExpectSameResults(got.results, want, context);
+    }
+  }
+}
+
 TEST(ShardedEngineTest, ResultShardsOwnTheirTuples) {
   const ShardedCorpus corpus = MakeShardedDblp(SmallDblp(17), 4);
   const ShardedEngine engine(corpus);
