@@ -1,7 +1,7 @@
 // Serving-layer walkthrough: a worker pool answering concurrent keyword
 // queries over the DBLP corpus, with the result cache, per-query budgets,
-// the metrics snapshot, and the operational-telemetry surface (windowed
-// metrics + the Statusz health document).
+// and the operational-telemetry surface (one telemetry document + the
+// Statusz health document).
 
 #include <cstdio>
 #include <future>
@@ -68,15 +68,10 @@ int main() {
   std::printf("\n1 us budget -> %s\n", out.status.ToString().c_str());
 
   // --- What the server counted. ----------------------------------------
-  std::printf("\nmetrics snapshot:\n%s", server.metrics().RenderText().c_str());
-
-  // --- The operational-telemetry surface. -------------------------------
-  // The windowed instruments answer "what is happening *now*": totals
-  // over the retained ring of windows, decaying to zero when traffic
-  // stops — unlike the cumulative counters above. One JSON document
-  // carries both sides.
-  std::printf("\ntelemetry (cumulative + windowed):\n%s\n",
-              server.telemetry().RenderJson().c_str());
+  // One instrument per serve event: each carries its lifetime total and
+  // its recent windows ("what is happening *now*", decaying to zero when
+  // traffic stops), rendered together as one JSON document.
+  std::printf("\ntelemetry:\n%s\n", server.telemetry().RenderJson().c_str());
 
   // Statusz is the single-call health snapshot an operator (or a
   // dashboard scraper) reads: queue depth, in-flight count, rejection and

@@ -29,13 +29,6 @@ std::shared_ptr<const TermFrontier> BuildTermFrontier(
 TupleSetCache::TupleSetCache(const relational::Database& db, size_t capacity)
     : db_(db), capacity_(capacity) {}
 
-void TupleSetCache::AttachCounters(Counter* hits, Counter* misses,
-                                   Counter* evictions) {
-  hit_counter_ = hits;
-  miss_counter_ = misses;
-  eviction_counter_ = evictions;
-}
-
 std::shared_ptr<const TermFrontier> TupleSetCache::Get(
     std::string_view term, const Deadline& deadline, trace::Tracer* tracer) {
   {
@@ -44,7 +37,6 @@ std::shared_ptr<const TermFrontier> TupleSetCache::Get(
     if (it != index_.end()) {
       lru_.splice(lru_.begin(), lru_, it->second);
       hits_.fetch_add(1, std::memory_order_relaxed);
-      if (hit_counter_ != nullptr) hit_counter_->Add();
       // The tracer belongs to the calling query, not the shared cache, so
       // annotating under the lock is safe and race-free.
       trace::AddCounter(tracer, "cn.tuple_cache.hits", 1);
@@ -52,7 +44,6 @@ std::shared_ptr<const TermFrontier> TupleSetCache::Get(
     }
   }
   misses_.fetch_add(1, std::memory_order_relaxed);
-  if (miss_counter_ != nullptr) miss_counter_->Add();
   trace::AddCounter(tracer, "cn.tuple_cache.misses", 1);
 
   // Build outside the lock: frontier construction walks every table's
@@ -77,7 +68,6 @@ std::shared_ptr<const TermFrontier> TupleSetCache::Get(
     index_.erase(lru_.back().term);
     lru_.pop_back();
     evictions_.fetch_add(1, std::memory_order_relaxed);
-    if (eviction_counter_ != nullptr) eviction_counter_->Add();
   }
   return frontier;
 }

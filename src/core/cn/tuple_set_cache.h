@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "common/deadline.h"
-#include "common/metrics.h"
 #include "common/strings.h"
 #include "common/trace.h"
 #include "relational/database.h"
@@ -96,10 +95,6 @@ class TupleSetCache {
   TupleSetCache(const TupleSetCache&) = delete;
   TupleSetCache& operator=(const TupleSetCache&) = delete;
 
-  /// Mirrors hit/miss/eviction events into externally owned metrics
-  /// counters (e.g. a serve MetricsRegistry). Call before concurrent use.
-  void AttachCounters(Counter* hits, Counter* misses, Counter* evictions);
-
   /// The frontier of `term`, from cache or built on demand. Returns
   /// nullptr only when `deadline` expired mid-build. A non-null `tracer`
   /// (always the caller's per-query tracer, never shared) attributes the
@@ -150,9 +145,6 @@ class TupleSetCache {
   std::atomic<uint64_t> evictions_{0};
   std::atomic<uint64_t> insertions_{0};
   std::atomic<uint64_t> invalidations_{0};
-  Counter* hit_counter_ = nullptr;
-  Counter* miss_counter_ = nullptr;
-  Counter* eviction_counter_ = nullptr;
 };
 
 }  // namespace kws::cn

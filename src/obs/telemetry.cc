@@ -8,14 +8,6 @@ TelemetryRegistry::TelemetryRegistry(const Clock* clock,
                                      const WindowOptions& windows)
     : clock_(clock != nullptr ? clock : DefaultClock()), windows_(windows) {}
 
-Counter* TelemetryRegistry::GetCounter(const std::string& name) {
-  return cumulative_.GetCounter(name);
-}
-
-LatencyHistogram* TelemetryRegistry::GetHistogram(const std::string& name) {
-  return cumulative_.GetHistogram(name);
-}
-
 WindowedCounter* TelemetryRegistry::GetWindowedCounter(
     const std::string& name) {
   std::lock_guard<std::mutex> lock(mu_);
@@ -37,11 +29,7 @@ WindowedHistogram* TelemetryRegistry::GetWindowedHistogram(
 }
 
 std::string TelemetryRegistry::RenderJson() const {
-  // The cumulative document minus its closing brace, then the windowed
-  // object spliced in — so the cumulative half is byte-identical to what
-  // MetricsRegistry::RenderJson alone would print.
-  std::string out = cumulative_.RenderJson();
-  out.pop_back();  // trailing '}'
+  std::string out = "{";
   char buf[96];
   const auto append_f = [&](const char* key, double v) {
     std::snprintf(buf, sizeof(buf), "\"%s\":%.3f", key, v);
@@ -53,7 +41,6 @@ std::string TelemetryRegistry::RenderJson() const {
     out += buf;
   };
   std::lock_guard<std::mutex> lock(mu_);
-  out += ",\"windowed\":{";
   append_u("window_micros", windows_.window_micros);
   out += ",";
   append_u("num_windows", windows_.num_windows);
@@ -84,20 +71,24 @@ std::string TelemetryRegistry::RenderJson() const {
     if (!first) out += ",";
     first = false;
     out += "\"" + name + "\":{";
-    append_u("count", hist->count());
-    out += ",";
-    append_u("in_windows", hist->CountInWindows());
-    out += ",";
-    append_f("mean_micros", hist->MeanMicros());
-    out += ",";
-    append_f("p50_micros", hist->PercentileMicros(0.50));
-    out += ",";
-    append_f("p95_micros", hist->PercentileMicros(0.95));
-    out += ",";
-    append_f("p99_micros", hist->PercentileMicros(0.99));
-    out += "}";
+    // Lifetime and recent readings share one layout.
+    const auto append_readings = [&](const auto& h, uint64_t count) {
+      append_u("count", count);
+      out += ",";
+      append_f("mean_micros", h.MeanMicros());
+      out += ",";
+      append_f("p50_micros", h.PercentileMicros(0.50));
+      out += ",";
+      append_f("p95_micros", h.PercentileMicros(0.95));
+      out += ",";
+      append_f("p99_micros", h.PercentileMicros(0.99));
+    };
+    append_readings(hist->total(), hist->count());
+    out += ",\"recent\":{";
+    append_readings(*hist, hist->CountInWindows());
+    out += "}}";
   }
-  out += "}}}";
+  out += "}}";
   return out;
 }
 

@@ -6,20 +6,18 @@
 #include <mutex>
 #include <string>
 
-#include "common/metrics.h"
 #include "obs/clock.h"
 #include "obs/windowed.h"
 
 namespace kws::obs {
 
-/// The operational-telemetry registry: a cumulative `kws::MetricsRegistry`
-/// plus windowed instruments over one injected clock, rendered together
-/// into one byte-stable JSON document. Windowed instruments answer the
-/// "right now" questions (QPS, recent hit rate, recent p99) the
-/// cumulative side cannot; a metric that exists on both sides reuses the
-/// SAME dotted name — the render keeps the two namespaces apart.
+/// The operational-telemetry registry: windowed instruments over one
+/// injected clock, rendered into one byte-stable JSON document. Each
+/// instrument answers both the "right now" questions (QPS, recent hit
+/// rate, recent p99) from its window ring and the lifetime ones from its
+/// never-decaying total, so one event bumps one instrument.
 ///
-/// Like `MetricsRegistry`, instruments are created lazily, never
+/// Like `kws::MetricsRegistry`, instruments are created lazily, never
 /// removed, and returned as stable pointers, so hot paths resolve each
 /// instrument once and then touch only atomics. Thread-safe.
 class TelemetryRegistry {
@@ -31,18 +29,6 @@ class TelemetryRegistry {
 
   TelemetryRegistry(const TelemetryRegistry&) = delete;
   TelemetryRegistry& operator=(const TelemetryRegistry&) = delete;
-
-  /// The cumulative side (counters + latency histograms).
-  MetricsRegistry& cumulative() { return cumulative_; }
-
-  /// Const view of the cumulative side.
-  const MetricsRegistry& cumulative() const { return cumulative_; }
-
-  /// Passthrough to `cumulative().GetCounter`.
-  Counter* GetCounter(const std::string& name);
-
-  /// Passthrough to `cumulative().GetHistogram`.
-  LatencyHistogram* GetHistogram(const std::string& name);
 
   /// The windowed counter named `name`, created on first use. The
   /// pointer stays valid for the registry's lifetime.
@@ -57,13 +43,12 @@ class TelemetryRegistry {
   /// The window configuration shared by every windowed instrument.
   const WindowOptions& windows() const { return windows_; }
 
-  /// One JSON document holding every instrument, cumulative and
-  /// windowed, with a fixed key order: the `MetricsRegistry::RenderJson`
-  /// shape extended with a `windowed` object —
-  /// `{"counters":{...},"histograms":{...},"windowed":{"window_micros":
-  /// W,"num_windows":N,"counters":{name:{total,in_windows,rate_per_sec,
-  /// windows:[...]},...},"histograms":{name:{count,in_windows,
-  /// mean_micros,p50_micros,p95_micros,p99_micros},...}}}`. Names sort
+  /// One JSON document holding every instrument, with a fixed key
+  /// order: `{"window_micros":W,"num_windows":N,"counters":{name:{total,
+  /// in_windows,rate_per_sec,windows:[...]},...},"histograms":{name:{
+  /// count,mean_micros,p50_micros,p95_micros,p99_micros,recent:{count,
+  /// mean_micros,p50_micros,p95_micros,p99_micros}},...}}` — lifetime
+  /// readings first, the live windows' beside them. Names sort
   /// lexicographically, floats are `%.3f` — byte-stable for a given
   /// clock instant and set of recordings (exactly reproducible under a
   /// `ManualClock`).
@@ -72,7 +57,6 @@ class TelemetryRegistry {
  private:
   const Clock* clock_;
   const WindowOptions windows_;
-  MetricsRegistry cumulative_;
   mutable std::mutex mu_;
   std::map<std::string, std::unique_ptr<WindowedCounter>> counters_;
   std::map<std::string, std::unique_ptr<WindowedHistogram>> histograms_;

@@ -12,7 +12,49 @@ namespace {
 /// slot being recycled for the new current window is never one a reader
 /// still counts as live.
 size_t RingSize(const WindowOptions& options) {
+  KWS_CHECK_MSG(options.num_windows >= 1, "num_windows must be >= 1");
+  KWS_CHECK_MSG(options.window_micros >= 1, "window_micros must be >= 1");
   return options.num_windows + 1;
+}
+
+uint64_t NowEpoch(const Clock& clock, const WindowOptions& options) {
+  return clock.NowMicros() / options.window_micros;
+}
+
+/// The ring slot for `epoch`, recycled (`Slot::Reset`, then the tag
+/// bumped) if a stale window still occupies it. Returns nullptr when
+/// `epoch` has already been rotated past (a laggard writer). Shared by
+/// both instruments; only the slot layout differs.
+template <typename Slot>
+Slot* AcquireSlot(std::vector<Slot>& ring, std::mutex& rotate_mu,
+                  uint64_t epoch) {
+  Slot& slot = ring[epoch % ring.size()];
+  const uint64_t tag = epoch + 1;
+  uint64_t cur = slot.tag.load(std::memory_order_acquire);
+  if (cur == tag) return &slot;
+  std::lock_guard<std::mutex> lock(rotate_mu);
+  cur = slot.tag.load(std::memory_order_relaxed);
+  if (cur > tag) return nullptr;  // rotated past this epoch already
+  if (cur != tag) {
+    slot.Reset();
+    slot.tag.store(tag, std::memory_order_release);
+  }
+  return &slot;
+}
+
+/// Calls `visit(age, slot)` for every live window still resident in the
+/// ring, `age` counting back from the current window (0) to the oldest
+/// retained one (`num_windows - 1`). Windows before the clock origin, or
+/// whose slot has been recycled or never used, are skipped.
+template <typename Slot, typename Visit>
+void ForEachLiveWindow(const std::vector<Slot>& ring, uint64_t now_epoch,
+                       size_t num_windows, Visit visit) {
+  for (size_t age = 0; age < num_windows && age <= now_epoch; ++age) {
+    const uint64_t epoch = now_epoch - age;
+    const Slot& slot = ring[epoch % ring.size()];
+    if (slot.tag.load(std::memory_order_acquire) != epoch + 1) continue;
+    visit(age, slot);
+  }
 }
 
 }  // namespace
@@ -21,30 +63,11 @@ WindowedCounter::WindowedCounter(const Clock* clock,
                                  const WindowOptions& options)
     : clock_(clock != nullptr ? clock : DefaultClock()),
       options_(options),
-      ring_(RingSize(options_)) {
-  KWS_CHECK_MSG(options_.num_windows >= 1, "num_windows must be >= 1");
-  KWS_CHECK_MSG(options_.window_micros >= 1, "window_micros must be >= 1");
-}
-
-WindowedCounter::Slot* WindowedCounter::AcquireSlot(uint64_t epoch) {
-  Slot& slot = ring_[epoch % ring_.size()];
-  const uint64_t tag = epoch + 1;
-  uint64_t cur = slot.tag.load(std::memory_order_acquire);
-  if (cur == tag) return &slot;
-  std::lock_guard<std::mutex> lock(rotate_mu_);
-  cur = slot.tag.load(std::memory_order_relaxed);
-  if (cur > tag) return nullptr;  // rotated past this epoch already
-  if (cur != tag) {
-    slot.count.store(0, std::memory_order_relaxed);
-    slot.tag.store(tag, std::memory_order_release);
-  }
-  return &slot;
-}
+      ring_(RingSize(options_)) {}
 
 void WindowedCounter::Add(uint64_t n) {
   total_.fetch_add(n, std::memory_order_relaxed);
-  const uint64_t epoch = clock_->NowMicros() / options_.window_micros;
-  Slot* slot = AcquireSlot(epoch);
+  Slot* slot = AcquireSlot(ring_, rotate_mu_, NowEpoch(*clock_, options_));
   if (slot == nullptr) return;  // laggard past a full ring rotation
   slot->count.fetch_add(n, std::memory_order_relaxed);
 }
@@ -56,16 +79,13 @@ uint64_t WindowedCounter::TotalInWindows() const {
 }
 
 std::vector<uint64_t> WindowedCounter::WindowSnapshot() const {
-  const uint64_t now_epoch = clock_->NowMicros() / options_.window_micros;
-  std::vector<uint64_t> out(options_.num_windows, 0);
-  for (size_t j = 0; j < options_.num_windows; ++j) {
-    if (j > now_epoch) break;  // windows before the clock origin
-    const uint64_t epoch = now_epoch - j;
-    const Slot& slot = ring_[epoch % ring_.size()];
-    if (slot.tag.load(std::memory_order_acquire) != epoch + 1) continue;
-    out[options_.num_windows - 1 - j] =
-        slot.count.load(std::memory_order_relaxed);
-  }
+  const size_t n = options_.num_windows;
+  std::vector<uint64_t> out(n, 0);
+  ForEachLiveWindow(ring_, NowEpoch(*clock_, options_), n,
+                    [&](size_t age, const Slot& slot) {
+                      out[n - 1 - age] =
+                          slot.count.load(std::memory_order_relaxed);
+                    });
   return out;
 }
 
@@ -80,33 +100,12 @@ WindowedHistogram::WindowedHistogram(const Clock* clock,
                                      const WindowOptions& options)
     : clock_(clock != nullptr ? clock : DefaultClock()),
       options_(options),
-      ring_(RingSize(options_)) {
-  KWS_CHECK_MSG(options_.num_windows >= 1, "num_windows must be >= 1");
-  KWS_CHECK_MSG(options_.window_micros >= 1, "window_micros must be >= 1");
-}
-
-WindowedHistogram::Slot* WindowedHistogram::AcquireSlot(uint64_t epoch) {
-  Slot& slot = ring_[epoch % ring_.size()];
-  const uint64_t tag = epoch + 1;
-  uint64_t cur = slot.tag.load(std::memory_order_acquire);
-  if (cur == tag) return &slot;
-  std::lock_guard<std::mutex> lock(rotate_mu_);
-  cur = slot.tag.load(std::memory_order_relaxed);
-  if (cur > tag) return nullptr;  // rotated past this epoch already
-  if (cur != tag) {
-    slot.count.store(0, std::memory_order_relaxed);
-    slot.sum_nanos.store(0, std::memory_order_relaxed);
-    for (auto& b : slot.buckets) b.store(0, std::memory_order_relaxed);
-    slot.tag.store(tag, std::memory_order_release);
-  }
-  return &slot;
-}
+      ring_(RingSize(options_)) {}
 
 void WindowedHistogram::Record(double micros) {
   if (micros < 0 || !std::isfinite(micros)) micros = 0;
-  count_.fetch_add(1, std::memory_order_relaxed);
-  const uint64_t epoch = clock_->NowMicros() / options_.window_micros;
-  Slot* slot = AcquireSlot(epoch);
+  total_.Record(micros);
+  Slot* slot = AcquireSlot(ring_, rotate_mu_, NowEpoch(*clock_, options_));
   if (slot == nullptr) return;  // laggard past a full ring rotation
   slot->buckets[LatencyHistogram::BucketIndexFor(micros)].fetch_add(
       1, std::memory_order_relaxed);
@@ -121,18 +120,15 @@ void WindowedHistogram::MergeWindows(
   out->fill(0);
   *count = 0;
   *sum_nanos = 0;
-  const uint64_t now_epoch = clock_->NowMicros() / options_.window_micros;
-  for (size_t j = 0; j < options_.num_windows; ++j) {
-    if (j > now_epoch) break;  // windows before the clock origin
-    const uint64_t epoch = now_epoch - j;
-    const Slot& slot = ring_[epoch % ring_.size()];
-    if (slot.tag.load(std::memory_order_acquire) != epoch + 1) continue;
-    *count += slot.count.load(std::memory_order_relaxed);
-    *sum_nanos += slot.sum_nanos.load(std::memory_order_relaxed);
-    for (size_t i = 0; i < LatencyHistogram::kNumBuckets; ++i) {
-      (*out)[i] += slot.buckets[i].load(std::memory_order_relaxed);
-    }
-  }
+  ForEachLiveWindow(
+      ring_, NowEpoch(*clock_, options_), options_.num_windows,
+      [&](size_t /*age*/, const Slot& slot) {
+        *count += slot.count.load(std::memory_order_relaxed);
+        *sum_nanos += slot.sum_nanos.load(std::memory_order_relaxed);
+        for (size_t i = 0; i < LatencyHistogram::kNumBuckets; ++i) {
+          (*out)[i] += slot.buckets[i].load(std::memory_order_relaxed);
+        }
+      });
 }
 
 uint64_t WindowedHistogram::CountInWindows() const {

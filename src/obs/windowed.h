@@ -14,9 +14,9 @@ namespace kws::obs {
 
 /// Shared shape of every windowed instrument: time is cut into
 /// fixed-width windows (`window_micros`), and the instrument keeps the
-/// most recent `num_windows` of them in a ring. Readings answer "what
-/// happened recently", the question the cumulative `kws::MetricsRegistry`
-/// instruments cannot.
+/// most recent `num_windows` of them in a ring. Window readings answer
+/// "what happened recently"; each instrument also keeps a lifetime total
+/// that never decays, so one instrument serves both questions.
 struct WindowOptions {
   /// Width of one window. Window `w` covers
   /// `[w * window_micros, (w + 1) * window_micros)` on the clock.
@@ -29,13 +29,13 @@ struct WindowOptions {
 /// A counter over a ring of epoch buckets: `Add` lands in the window the
 /// injected clock says is current, and reads aggregate the live windows
 /// only — anything older has been recycled. Rates therefore decay to
-/// zero when traffic stops, unlike a cumulative `kws::Counter`.
+/// zero when traffic stops, while `total()` keeps the lifetime count.
 ///
 /// Thread-safety: bumps are relaxed atomics; window rotation (the first
 /// `Add` of a new window recycling the oldest slot) takes a mutex. A
 /// writer whose clock read predates a full ring rotation drops its
 /// increment into no window (the window it belongs to no longer exists);
-/// the cumulative `total()` still counts it. Under a `ManualClock`
+/// the lifetime `total()` still counts it. Under a `ManualClock`
 /// advanced between quiescent phases every reading is exact and
 /// deterministic.
 class WindowedCounter {
@@ -48,10 +48,10 @@ class WindowedCounter {
   WindowedCounter(const WindowedCounter&) = delete;
   WindowedCounter& operator=(const WindowedCounter&) = delete;
 
-  /// Adds `n` to the current window (and to the cumulative total).
+  /// Adds `n` to the current window (and to the lifetime total).
   void Add(uint64_t n = 1);
 
-  /// Cumulative count since construction (never decays).
+  /// Lifetime count since construction (never decays).
   uint64_t total() const { return total_.load(std::memory_order_relaxed); }
 
   /// Sum over the live windows (current partial + completed retained).
@@ -74,12 +74,9 @@ class WindowedCounter {
     /// Window epoch + 1 of the resident data; 0 = never used.
     std::atomic<uint64_t> tag{0};
     std::atomic<uint64_t> count{0};
+    /// Zeroes the data (not the tag) when the slot is recycled.
+    void Reset() { count.store(0, std::memory_order_relaxed); }
   };
-
-  /// The ring slot for `epoch`, recycled (count zeroed, tag bumped) if a
-  /// stale window still occupies it. Returns nullptr when `epoch` has
-  /// already been rotated past (a laggard writer).
-  Slot* AcquireSlot(uint64_t epoch);
 
   const Clock* clock_;
   const WindowOptions options_;
@@ -91,13 +88,14 @@ class WindowedCounter {
 
 /// A latency histogram over the same window ring, bucketed identically
 /// to `kws::LatencyHistogram` (shared power-of-two edges via its static
-/// helpers), so cumulative and windowed percentiles are directly
-/// comparable. Reads merge the live windows' bucket arrays and
-/// interpolate — "p99 over the last N windows".
+/// helpers). Window reads merge the live windows' bucket arrays and
+/// interpolate — "p99 over the last N windows"; `total()` is a plain
+/// `LatencyHistogram` of every recording, so lifetime and recent
+/// percentiles come from one instrument and are directly comparable.
 ///
 /// Thread-safety contract matches `WindowedCounter`: relaxed-atomic
 /// recording, mutex-serialized rotation, laggard recordings past a full
-/// ring rotation are dropped from the windows (never from `count()`).
+/// ring rotation are dropped from the windows (never from `total()`).
 class WindowedHistogram {
  public:
   /// `clock` must outlive the instrument; nullptr selects
@@ -107,11 +105,15 @@ class WindowedHistogram {
   WindowedHistogram(const WindowedHistogram&) = delete;
   WindowedHistogram& operator=(const WindowedHistogram&) = delete;
 
-  /// Records one observation into the current window.
+  /// Records one observation into the current window (and into the
+  /// lifetime distribution).
   void Record(double micros);
 
-  /// Cumulative observation count since construction.
-  uint64_t count() const { return count_.load(std::memory_order_relaxed); }
+  /// The lifetime distribution since construction (never decays).
+  const LatencyHistogram& total() const { return total_; }
+
+  /// Lifetime observation count, `total().count()`.
+  uint64_t count() const { return total_.count(); }
 
   /// Observations in the live windows.
   uint64_t CountInWindows() const;
@@ -134,10 +136,13 @@ class WindowedHistogram {
     std::atomic<uint64_t> sum_nanos{0};
     std::array<std::atomic<uint64_t>, LatencyHistogram::kNumBuckets>
         buckets{};
+    /// Zeroes the data (not the tag) when the slot is recycled.
+    void Reset() {
+      count.store(0, std::memory_order_relaxed);
+      sum_nanos.store(0, std::memory_order_relaxed);
+      for (auto& b : buckets) b.store(0, std::memory_order_relaxed);
+    }
   };
-
-  /// As `WindowedCounter::AcquireSlot`.
-  Slot* AcquireSlot(uint64_t epoch);
 
   /// Sums the live windows into one bucket array (plus count and sum).
   void MergeWindows(std::array<uint64_t, LatencyHistogram::kNumBuckets>* out,
@@ -146,7 +151,7 @@ class WindowedHistogram {
   const Clock* clock_;
   const WindowOptions options_;
   std::vector<Slot> ring_;
-  std::atomic<uint64_t> count_{0};
+  LatencyHistogram total_;
   /// Serializes slot recycling only; recordings never take it.
   std::mutex rotate_mu_;
 };

@@ -11,21 +11,6 @@
 
 namespace kws::serve {
 
-namespace {
-
-/// Windowed-instrument bumps behind the disabled-path convention: one
-/// well-predicted null check when `ServeOptions::windowed_metrics` is
-/// off, never a heavier guard.
-inline void WAdd(obs::WindowedCounter* c, uint64_t n = 1) {
-  if (c != nullptr) c->Add(n);
-}
-
-inline void WRecord(obs::WindowedHistogram* h, double micros) {
-  if (h != nullptr) h->Record(micros);
-}
-
-}  // namespace
-
 ServingEngine::ServingEngine(const engine::KeywordSearchEngine* relational,
                              const engine::XmlKeywordSearch* xml,
                              const ServeOptions& options)
@@ -44,43 +29,21 @@ ServingEngine::ServingEngine(const engine::KeywordSearchEngine* relational,
                              relational->db(), options.tuple_cache_capacity)
                        : nullptr),
       cache_(options.cache_capacity, options.cache_shards),
-      telemetry_(options.clock, options.windows),
-      submitted_(telemetry_.GetCounter("serve.submitted")),
-      rejected_(telemetry_.GetCounter("serve.rejected")),
-      completed_(telemetry_.GetCounter("serve.completed")),
-      ok_(telemetry_.GetCounter("serve.ok")),
-      deadline_exceeded_(telemetry_.GetCounter("serve.deadline_exceeded")),
-      errors_(telemetry_.GetCounter("serve.errors")),
-      cache_hits_(telemetry_.GetCounter("serve.cache.hits")),
-      cache_misses_(telemetry_.GetCounter("serve.cache.misses")),
-      trace_sampled_(telemetry_.GetCounter("serve.trace.sampled")),
-      writes_notified_(telemetry_.GetCounter("serve.writes.notified")),
-      tuple_entries_invalidated_(
-          telemetry_.GetCounter("serve.tuple_cache.invalidated")),
-      latency_(telemetry_.GetHistogram("serve.latency_micros")),
-      queue_wait_(telemetry_.GetHistogram("serve.queue_wait_micros")),
-      w_submitted_(options.windowed_metrics
-                       ? telemetry_.GetWindowedCounter("serve.submitted")
-                       : nullptr),
-      w_rejected_(options.windowed_metrics
-                      ? telemetry_.GetWindowedCounter("serve.rejected")
-                      : nullptr),
-      w_completed_(options.windowed_metrics
-                       ? telemetry_.GetWindowedCounter("serve.completed")
-                       : nullptr),
-      w_deadline_exceeded_(
-          options.windowed_metrics
-              ? telemetry_.GetWindowedCounter("serve.deadline_exceeded")
-              : nullptr),
-      w_cache_hits_(options.windowed_metrics
-                        ? telemetry_.GetWindowedCounter("serve.cache.hits")
-                        : nullptr),
-      w_cache_misses_(options.windowed_metrics
-                          ? telemetry_.GetWindowedCounter("serve.cache.misses")
-                          : nullptr),
-      w_latency_(options.windowed_metrics
-                     ? telemetry_.GetWindowedHistogram("serve.latency_micros")
-                     : nullptr),
+      telemetry_(options.clock),
+      submitted_(telemetry_.GetWindowedCounter("serve.submitted")),
+      rejected_(telemetry_.GetWindowedCounter("serve.rejected")),
+      completed_(telemetry_.GetWindowedCounter("serve.completed")),
+      ok_(telemetry_.GetWindowedCounter("serve.ok")),
+      deadline_exceeded_(
+          telemetry_.GetWindowedCounter("serve.deadline_exceeded")),
+      errors_(telemetry_.GetWindowedCounter("serve.errors")),
+      cache_hits_(telemetry_.GetWindowedCounter("serve.cache.hits")),
+      cache_misses_(telemetry_.GetWindowedCounter("serve.cache.misses")),
+      trace_sampled_(telemetry_.GetWindowedCounter("serve.trace.sampled")),
+      writes_notified_(
+          telemetry_.GetWindowedCounter("serve.writes.notified")),
+      latency_(telemetry_.GetWindowedHistogram("serve.latency_micros")),
+      queue_wait_(telemetry_.GetWindowedHistogram("serve.queue_wait_micros")),
       clock_(&telemetry_.clock()),
       start_micros_(clock_->NowMicros()) {
   KWS_CHECK_MSG(options_.num_shards == 0 ||
@@ -88,12 +51,6 @@ ServingEngine::ServingEngine(const engine::KeywordSearchEngine* relational,
                      sharded_->num_shards() == options_.num_shards),
                 "ServeOptions::num_shards must match the attached "
                 "ShardedEngine");
-  if (tuple_cache_ != nullptr) {
-    tuple_cache_->AttachCounters(
-        telemetry_.GetCounter("serve.tuple_cache.hits"),
-        telemetry_.GetCounter("serve.tuple_cache.misses"),
-        telemetry_.GetCounter("serve.tuple_cache.evictions"));
-  }
   workers_.reserve(options_.num_workers);
   for (size_t i = 0; i < options_.num_workers; ++i) {
     workers_.emplace_back([this] { WorkerLoop(); });
@@ -105,7 +62,6 @@ ServingEngine::~ServingEngine() { Shutdown(); }
 Status ServingEngine::Submit(QueryRequest request,
                              std::future<QueryOutcome>* outcome) {
   submitted_->Add();
-  WAdd(w_submitted_);
   Task task;
   task.request = std::move(request);
   // Anchor the budget now: queue wait counts against it, so a request
@@ -119,12 +75,10 @@ Status ServingEngine::Submit(QueryRequest request,
     std::lock_guard<std::mutex> lock(mu_);
     if (stopping_) {
       rejected_->Add();
-      WAdd(w_rejected_);
       return Status::FailedPrecondition("server is shut down");
     }
     if (queue_.size() >= options_.queue_capacity) {
       rejected_->Add();
-      WAdd(w_rejected_);
       return Status::ResourceExhausted(
           "submission queue full (" +
           std::to_string(options_.queue_capacity) + " pending)");
@@ -138,7 +92,6 @@ Status ServingEngine::Submit(QueryRequest request,
 
 QueryOutcome ServingEngine::Query(const QueryRequest& request) {
   submitted_->Add();
-  WAdd(w_submitted_);
   return Execute(request);
 }
 
@@ -152,13 +105,16 @@ void ServingEngine::Shutdown() {
   for (std::thread& w : workers_) w.join();  // long-lived server workers, not pool work -- kwslint: allow(raw-thread)
   workers_.clear();
   // With zero workers (admission-control tests) tasks may still be
-  // queued; fail them rather than abandoning their futures.
+  // queued; fail them rather than abandoning their futures. Each counts
+  // as rejected — the outcome Submit gives after shutdown — so that
+  // submitted == completed + rejected once the server has shut down.
   std::deque<Task> leftover;
   {
     std::lock_guard<std::mutex> lock(mu_);
     leftover.swap(queue_);
   }
   for (Task& task : leftover) {
+    rejected_->Add();
     QueryOutcome outcome;
     outcome.status =
         Status::FailedPrecondition("server shut down before execution");
@@ -224,10 +180,7 @@ void ServingEngine::NotifyWrite(const relational::WriteReport& report) {
   // Order matters: drop stale frontiers and refresh standing queries
   // BEFORE publishing the epoch, so a query keyed under the new epoch
   // can never read — or cache — pre-write state.
-  if (tuple_cache_ != nullptr) {
-    tuple_entries_invalidated_->Add(
-        tuple_cache_->Invalidate(report.touched_terms));
-  }
+  if (tuple_cache_ != nullptr) tuple_cache_->Invalidate(report.touched_terms);
   {
     std::lock_guard<std::mutex> lock(standing_mu_);
     for (std::unique_ptr<cn::ContinualQuery>& q : standing_) {
@@ -295,14 +248,11 @@ QueryOutcome ServingEngine::Execute(const QueryRequest& request,
     query_span.AddCounter("queue_wait_micros",
                           static_cast<uint64_t>(queue_wait_micros));
   }
-  auto finish = [&](Counter* bucket) {
+  auto finish = [&](obs::WindowedCounter* bucket) {
     outcome.latency_micros = watch.ElapsedMicros();
     latency_->Record(outcome.latency_micros);
-    WRecord(w_latency_, outcome.latency_micros);
     completed_->Add();
-    WAdd(w_completed_);
     bucket->Add();
-    if (bucket == deadline_exceeded_) WAdd(w_deadline_exceeded_);
     inflight_.fetch_sub(1, std::memory_order_relaxed);
     query_span.Close();
     RecordSlowQuery(request, outcome, sequence, queue_wait_micros, sampled,
@@ -318,14 +268,12 @@ QueryOutcome ServingEngine::Execute(const QueryRequest& request,
     lookup_span.Close();
     if (hit.has_value()) {
       cache_hits_->Add();
-      WAdd(w_cache_hits_);
       outcome.relational = std::move(hit->relational);
       outcome.xml = std::move(hit->xml);
       outcome.cache_hit = true;
       return finish(ok_);
     }
     cache_misses_->Add();
-    WAdd(w_cache_misses_);
   }
 
   // Deadline-aware dispatch: a budget that expired while queued (or a ~0
@@ -479,10 +427,10 @@ std::string ServingEngine::Statusz() const {
   };
 
   const uint64_t now = clock_->NowMicros();
-  const uint64_t submitted = submitted_->value();
-  const uint64_t completed = completed_->value();
-  const uint64_t rejected = rejected_->value();
-  const uint64_t deadline_exceeded = deadline_exceeded_->value();
+  const uint64_t submitted = submitted_->total();
+  const uint64_t completed = completed_->total();
+  const uint64_t rejected = rejected_->total();
+  const uint64_t deadline_exceeded = deadline_exceeded_->total();
 
   out += "{";
   append_u("uptime_micros", now - start_micros_);
@@ -502,57 +450,50 @@ std::string ServingEngine::Statusz() const {
   out += ",";
   append_u("completed", completed);
   out += ",";
-  append_u("ok", ok_->value());
+  append_u("ok", ok_->total());
   out += ",";
   append_u("rejected", rejected);
   out += ",";
   append_u("deadline_exceeded", deadline_exceeded);
   out += ",";
-  append_u("errors", errors_->value());
+  append_u("errors", errors_->total());
   out += ",";
   append_f("rejection_rate", ratio(rejected, submitted));
   out += ",";
   append_f("deadline_rate", ratio(deadline_exceeded, completed));
   out += ",\"recent\":{";
   // The windowed view: rates over the retained windows only, decaying
-  // to zero when traffic stops. All zeros when windowed_metrics is off.
-  const uint64_t rw_submitted =
-      w_submitted_ != nullptr ? w_submitted_->TotalInWindows() : 0;
-  const uint64_t rw_completed =
-      w_completed_ != nullptr ? w_completed_->TotalInWindows() : 0;
-  const uint64_t rw_rejected =
-      w_rejected_ != nullptr ? w_rejected_->TotalInWindows() : 0;
-  const uint64_t rw_deadline =
-      w_deadline_exceeded_ != nullptr ? w_deadline_exceeded_->TotalInWindows()
-                                      : 0;
+  // to zero when traffic stops.
+  const uint64_t rw_submitted = submitted_->TotalInWindows();
+  const uint64_t rw_completed = completed_->TotalInWindows();
+  const uint64_t rw_rejected = rejected_->TotalInWindows();
+  const uint64_t rw_deadline = deadline_exceeded_->TotalInWindows();
   append_u("submitted", rw_submitted);
   out += ",";
   append_u("completed", rw_completed);
   out += ",";
-  append_f("qps", w_completed_ != nullptr ? w_completed_->RatePerSecond()
-                                          : 0.0);
+  append_f("qps", completed_->RatePerSecond());
   out += ",";
   append_f("rejection_rate", ratio(rw_rejected, rw_submitted));
   out += ",";
   append_f("deadline_rate", ratio(rw_deadline, rw_completed));
   out += "}},\"latency\":{";
-  append_u("count", latency_->count());
+  const LatencyHistogram& lifetime = latency_->total();
+  append_u("count", lifetime.count());
   out += ",";
-  append_f("mean_micros", latency_->MeanMicros());
+  append_f("mean_micros", lifetime.MeanMicros());
+  out += ",";
+  append_f("p50_micros", lifetime.PercentileMicros(0.50));
+  out += ",";
+  append_f("p95_micros", lifetime.PercentileMicros(0.95));
+  out += ",";
+  append_f("p99_micros", lifetime.PercentileMicros(0.99));
+  out += ",\"recent\":{";
+  append_u("count", latency_->CountInWindows());
   out += ",";
   append_f("p50_micros", latency_->PercentileMicros(0.50));
   out += ",";
-  append_f("p95_micros", latency_->PercentileMicros(0.95));
-  out += ",";
   append_f("p99_micros", latency_->PercentileMicros(0.99));
-  out += ",\"recent\":{";
-  append_u("count", w_latency_ != nullptr ? w_latency_->CountInWindows() : 0);
-  out += ",";
-  append_f("p50_micros",
-           w_latency_ != nullptr ? w_latency_->PercentileMicros(0.50) : 0.0);
-  out += ",";
-  append_f("p99_micros",
-           w_latency_ != nullptr ? w_latency_->PercentileMicros(0.99) : 0.0);
   out += "}},\"result_cache\":{";
   const CacheStats cs = cache_.stats();
   append_u("capacity", cache_.capacity());
@@ -569,10 +510,8 @@ std::string ServingEngine::Statusz() const {
   out += ",";
   append_u("evictions", cs.evictions);
   out += ",";
-  const uint64_t rw_hits =
-      w_cache_hits_ != nullptr ? w_cache_hits_->TotalInWindows() : 0;
-  const uint64_t rw_misses =
-      w_cache_misses_ != nullptr ? w_cache_misses_->TotalInWindows() : 0;
+  const uint64_t rw_hits = cache_hits_->TotalInWindows();
+  const uint64_t rw_misses = cache_misses_->TotalInWindows();
   append_f("recent_hit_rate", ratio(rw_hits, rw_hits + rw_misses));
   out += ",\"shards\":[";
   const std::vector<ShardCacheStats> shard_stats = cache_.PerShardStats();
@@ -622,9 +561,10 @@ std::string ServingEngine::Statusz() const {
   out += ",";
   append_u("lag", last_write > published ? last_write - published : 0);
   out += ",";
-  append_u("writes_notified", writes_notified_->value());
+  append_u("writes_notified", writes_notified_->total());
   out += ",";
-  append_u("tuple_entries_invalidated", tuple_entries_invalidated_->value());
+  append_u("tuple_entries_invalidated",
+           tuple_cache_ != nullptr ? tuple_cache_->stats().invalidations : 0);
   out += "},";
   {
     std::lock_guard<std::mutex> lock(standing_mu_);

@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "common/deadline.h"
-#include "common/metrics.h"
 #include "common/status.h"
 #include "common/stopwatch.h"
 #include "common/trace.h"
@@ -111,18 +110,12 @@ struct ServeOptions {
   /// Ring-buffer capacity of the slow-query log; the oldest entry is
   /// evicted first. 0 disables the log entirely.
   size_t slow_query_log_capacity = 32;
-  /// Time source for the windowed telemetry and `Statusz` (not owned;
-  /// must outlive the server). nullptr selects the process-wide steady
-  /// clock; tests inject an `obs::ManualClock` so windowed readings and
-  /// Statusz documents are byte-reproducible.
+  /// Time source for the telemetry and `Statusz` (not owned; must
+  /// outlive the server). nullptr selects the process-wide steady clock;
+  /// tests inject an `obs::ManualClock` so windowed readings and Statusz
+  /// documents are byte-reproducible. The instruments use the default
+  /// `obs::WindowOptions` (8 one-second windows).
   const obs::Clock* clock = nullptr;
-  /// Window shape of the windowed instruments (width x retained count).
-  obs::WindowOptions windows;
-  /// Turns the windowed instruments off entirely: the hot path then pays
-  /// one well-predicted null check per event (the kws::trace disabled
-  /// convention), and Statusz `recent` readings render as zeros. The
-  /// cumulative instruments are always on.
-  bool windowed_metrics = true;
 };
 
 /// One completed query retained in the slow-query ring buffer.
@@ -146,7 +139,8 @@ struct SlowQueryEntry {
 /// The concurrent query-serving facade: a fixed worker pool pulling from a
 /// bounded submission queue, a sharded LRU result cache keyed by the
 /// normalized (tokenized + cleaned) query, per-query deadlines, and a
-/// metrics registry (counters + latency histograms).
+/// telemetry registry holding one windowed instrument per serve event
+/// (each keeps its lifetime total beside its recent windows).
 ///
 /// Both engines run read-only searches (`Search` is const and keeps no
 /// per-query state), which is what makes one engine instance safely
@@ -251,11 +245,8 @@ class ServingEngine {
   [[nodiscard]] Result<std::vector<cn::SearchResult>> StandingResults(
       uint64_t id) const;
 
-  /// The cumulative instruments (counters + latency histograms).
-  MetricsRegistry& metrics() { return telemetry_.cumulative(); }
-
-  /// The full telemetry surface: cumulative + windowed instruments and
-  /// the combined `RenderJson`.
+  /// The serve instruments (`serve.submitted`, `serve.latency_micros`,
+  /// ...): lifetime totals and windowed readings, plus `RenderJson`.
   obs::TelemetryRegistry& telemetry() { return telemetry_; }
 
   CacheStats cache_stats() const { return cache_.stats(); }
@@ -333,32 +324,22 @@ class ServingEngine {
   std::unique_ptr<cn::TupleSetCache> tuple_cache_;
   ShardedResultCache cache_;
   obs::TelemetryRegistry telemetry_;
-  // Instruments resolved once; hot paths touch only atomics.
-  Counter* submitted_;
-  Counter* rejected_;
-  Counter* completed_;
-  Counter* ok_;
-  Counter* deadline_exceeded_;
-  Counter* errors_;
-  Counter* cache_hits_;
-  Counter* cache_misses_;
-  Counter* trace_sampled_;
-  Counter* writes_notified_;
-  Counter* tuple_entries_invalidated_;
-  LatencyHistogram* latency_;
-  LatencyHistogram* queue_wait_;
-  // The windowed mirrors ("what is happening right now"); all null when
-  // `ServeOptions::windowed_metrics` is off — the hot path pays one null
-  // check per event, mirroring the kws::trace disabled convention.
-  obs::WindowedCounter* w_submitted_;
-  obs::WindowedCounter* w_rejected_;
-  obs::WindowedCounter* w_completed_;
-  obs::WindowedCounter* w_deadline_exceeded_;
-  obs::WindowedCounter* w_cache_hits_;
-  obs::WindowedCounter* w_cache_misses_;
-  obs::WindowedHistogram* w_latency_;
+  // One instrument per event, resolved once; hot paths touch only
+  // atomics. Lifetime readings come from each instrument's total().
+  obs::WindowedCounter* submitted_;
+  obs::WindowedCounter* rejected_;
+  obs::WindowedCounter* completed_;
+  obs::WindowedCounter* ok_;
+  obs::WindowedCounter* deadline_exceeded_;
+  obs::WindowedCounter* errors_;
+  obs::WindowedCounter* cache_hits_;
+  obs::WindowedCounter* cache_misses_;
+  obs::WindowedCounter* trace_sampled_;
+  obs::WindowedCounter* writes_notified_;
+  obs::WindowedHistogram* latency_;
+  obs::WindowedHistogram* queue_wait_;
 
-  /// The clock behind uptime and the windowed instruments (never null).
+  /// The clock behind uptime and the instruments (never null).
   const obs::Clock* clock_;
   /// `clock_->NowMicros()` at construction, for Statusz uptime.
   uint64_t start_micros_;

@@ -1,8 +1,8 @@
 // Tests for the kws::obs operational-telemetry layer: deterministic
 // window advance under a ManualClock (byte-stable goldens), agreement
-// with the cumulative instruments' bucketing, the TelemetryRegistry
-// render, the ServingEngine::Statusz golden, and a concurrent-writers
-// sweep that rides the ci.sh TSan gate.
+// of the windowed and lifetime readings with LatencyHistogram's
+// bucketing, the TelemetryRegistry render, the ServingEngine::Statusz
+// golden, and a concurrent-writers sweep that rides the ci.sh TSan gate.
 
 #include <gtest/gtest.h>
 
@@ -86,7 +86,7 @@ TEST(WindowedCounterTest, OldWindowsExpireButTotalNeverDecays) {
   clock.AdvanceMicros(1000);
   EXPECT_EQ(c.TotalInWindows(), 0u);  // rotated out
   EXPECT_EQ(c.WindowSnapshot(), (std::vector<uint64_t>{0, 0}));
-  EXPECT_EQ(c.total(), 5u);  // the cumulative side never decays
+  EXPECT_EQ(c.total(), 5u);  // the lifetime total never decays
 }
 
 TEST(WindowedCounterTest, RatePerSecondIsExactUnderManualClock) {
@@ -99,8 +99,8 @@ TEST(WindowedCounterTest, RatePerSecondIsExactUnderManualClock) {
   clock.AdvanceMicros(500'000);
   c.Add(30);
   EXPECT_DOUBLE_EQ(c.RatePerSecond(), 40.0 / 2.0);
-  // Rates decay to zero when traffic stops — the cumulative counters
-  // cannot say this.
+  // Rates decay to zero when traffic stops — a lifetime total cannot
+  // say this.
   clock.AdvanceMicros(4 * 500'000);
   EXPECT_DOUBLE_EQ(c.RatePerSecond(), 0.0);
 }
@@ -153,8 +153,9 @@ TEST(WindowedHistogramTest, WindowedReadingsAreExact) {
 
 TEST(WindowedHistogramTest, BucketsIdenticallyToLatencyHistogram) {
   // Same recordings, all within live windows: the windowed percentile
-  // must equal the cumulative one exactly (shared bucketing + shared
-  // interpolation).
+  // must equal the plain histogram's exactly (shared bucketing + shared
+  // interpolation), and so must the lifetime side, before and after the
+  // windows age out.
   ManualClock clock;
   WindowOptions w;
   w.window_micros = 1'000'000;
@@ -172,10 +173,28 @@ TEST(WindowedHistogramTest, BucketsIdenticallyToLatencyHistogram) {
         << p;
   }
   EXPECT_DOUBLE_EQ(windowed.MeanMicros(), cumulative.MeanMicros());
+
+  const auto expect_lifetime_matches = [&] {
+    const LatencyHistogram& total = windowed.total();
+    EXPECT_EQ(total.count(), cumulative.count());
+    EXPECT_EQ(windowed.count(), cumulative.count());
+    EXPECT_DOUBLE_EQ(total.MeanMicros(), cumulative.MeanMicros());
+    for (double p : {0.50, 0.95, 0.99}) {
+      EXPECT_DOUBLE_EQ(total.PercentileMicros(p),
+                       cumulative.PercentileMicros(p))
+          << p;
+    }
+  };
+  expect_lifetime_matches();
+  // Past the whole ring the windows are empty; lifetime readings never
+  // decay.
+  clock.AdvanceMicros((w.num_windows + 1) * w.window_micros);
+  EXPECT_EQ(windowed.CountInWindows(), 0u);
+  expect_lifetime_matches();
 }
 
 // ---------------------------------------------------------------------------
-// TelemetryRegistry: stable pointers, spliced byte-stable render.
+// TelemetryRegistry: stable pointers, byte-stable render.
 
 TEST(TelemetryRegistryTest, InstrumentPointersAreStable) {
   TelemetryRegistry reg;
@@ -184,9 +203,6 @@ TEST(TelemetryRegistryTest, InstrumentPointersAreStable) {
   EXPECT_NE(reg.GetWindowedCounter("serve.completed"), c);
   WindowedHistogram* h = reg.GetWindowedHistogram("serve.latency_micros");
   EXPECT_EQ(reg.GetWindowedHistogram("serve.latency_micros"), h);
-  // The cumulative passthroughs share one registry.
-  EXPECT_EQ(reg.GetCounter("serve.submitted"),
-            reg.cumulative().GetCounter("serve.submitted"));
 }
 
 TEST(TelemetryRegistryTest, RenderJsonGoldenBytes) {
@@ -195,7 +211,6 @@ TEST(TelemetryRegistryTest, RenderJsonGoldenBytes) {
   w.window_micros = 1000;
   w.num_windows = 4;
   TelemetryRegistry reg(&clock, w);
-  reg.GetCounter("serve.hits")->Add(2);
   WindowedCounter* wc = reg.GetWindowedCounter("serve.hits");
   wc->Add(2);
   clock.AdvanceMicros(1000);
@@ -205,37 +220,22 @@ TEST(TelemetryRegistryTest, RenderJsonGoldenBytes) {
   wh->Record(100);
   EXPECT_EQ(
       reg.RenderJson(),
-      "{\"counters\":{\"serve.hits\":2},\"histograms\":{},"
-      "\"windowed\":{\"window_micros\":1000,\"num_windows\":4,"
+      "{\"window_micros\":1000,\"num_windows\":4,"
       "\"counters\":{\"serve.hits\":{\"total\":5,\"in_windows\":5,"
       "\"rate_per_sec\":1250.000,\"windows\":[0,0,2,3]}},"
       "\"histograms\":{\"serve.latency_micros\":{\"count\":2,"
-      "\"in_windows\":2,\"mean_micros\":100.000,\"p50_micros\":96.000,"
-      "\"p95_micros\":124.800,\"p99_micros\":127.360}}}}");
+      "\"mean_micros\":100.000,\"p50_micros\":96.000,"
+      "\"p95_micros\":124.800,\"p99_micros\":127.360,"
+      "\"recent\":{\"count\":2,\"mean_micros\":100.000,"
+      "\"p50_micros\":96.000,\"p95_micros\":124.800,"
+      "\"p99_micros\":127.360}}}}");
   // Rendering twice at the same instant is byte-identical.
   EXPECT_EQ(reg.RenderJson(), reg.RenderJson());
 }
 
-TEST(TelemetryRegistryTest, CumulativeHalfMatchesMetricsRegistryAlone) {
-  // The splice keeps the cumulative half byte-identical to what a plain
-  // MetricsRegistry would print for the same recordings.
-  TelemetryRegistry reg;
-  reg.GetCounter("a.b")->Add(7);
-  reg.GetHistogram("c.d")->Record(50);
-  MetricsRegistry plain;
-  plain.GetCounter("a.b")->Add(7);
-  plain.GetHistogram("c.d")->Record(50);
-  const std::string spliced = reg.RenderJson();
-  const std::string alone = plain.RenderJson();
-  ASSERT_GT(alone.size(), 1u);
-  EXPECT_EQ(spliced.substr(0, alone.size() - 1),
-            alone.substr(0, alone.size() - 1));
-  EXPECT_EQ(spliced.substr(alone.size() - 1, 12), ",\"windowed\":");
-}
-
 // ---------------------------------------------------------------------------
 // Concurrency: relaxed bumps + mutex rotation must lose nothing from the
-// cumulative side and stay TSan-clean while the clock advances under the
+// lifetime side and stay TSan-clean while the clock advances under the
 // writers' feet. On the ci.sh TSan gate.
 
 class ObsConcurrencyTest : public ::testing::TestWithParam<size_t> {};
@@ -268,10 +268,11 @@ TEST_P(ObsConcurrencyTest, ConcurrentWritersLoseNothingCumulative) {
       }
     }
   });
-  // The cumulative side is exact no matter how rotation raced; the
+  // The lifetime side is exact no matter how rotation raced; the
   // windowed side never exceeds it.
   EXPECT_EQ(counter->total(), threads * kPerThread);
   EXPECT_EQ(hist->count(), threads * kPerThread);
+  EXPECT_EQ(hist->total().count(), threads * kPerThread);
   EXPECT_LE(counter->TotalInWindows(), counter->total());
   EXPECT_LE(hist->CountInWindows(), hist->count());
 }
@@ -368,43 +369,13 @@ TEST(ServingStatuszTest, TracksTrafficAndWindowedRates) {
 
   // Windowed rates decay once the traffic ages out of the ring; the
   // cumulative side keeps the totals.
-  clock.AdvanceMicros((so.windows.num_windows + 1) * so.windows.window_micros);
+  clock.AdvanceMicros((obs::WindowOptions{}.num_windows + 1) *
+                      obs::WindowOptions{}.window_micros);
   const std::string later = server.Statusz();
   EXPECT_NE(later.find("\"recent\":{\"submitted\":0,\"completed\":0"),
             std::string::npos)
       << later;
   EXPECT_NE(later.find("\"submitted\":2"), std::string::npos) << later;
-}
-
-TEST(ServingStatuszTest, WindowedMetricsOffRendersZerosAndStillServes) {
-  relational::DblpOptions opts;
-  opts.num_authors = 20;
-  opts.num_papers = 40;
-  opts.num_conferences = 4;
-  const relational::DblpDatabase dblp = MakeDblpDatabase(opts);
-  engine::KeywordSearchEngine engine(*dblp.db);
-
-  ManualClock clock;
-  serve::ServeOptions so;
-  so.num_workers = 1;
-  so.clock = &clock;
-  so.windowed_metrics = false;
-  serve::ServingEngine server(&engine, /*xml=*/nullptr, so);
-  serve::QueryRequest req;
-  req.query = "keyword search";
-  const serve::QueryOutcome out = server.Query(req);
-  EXPECT_TRUE(out.status.ok());
-  const std::string doc = server.Statusz();
-  // Cumulative counters still move; every `recent` reading is zero.
-  EXPECT_NE(doc.find("\"submitted\":1"), std::string::npos) << doc;
-  EXPECT_NE(doc.find("\"recent\":{\"submitted\":0,\"completed\":0"),
-            std::string::npos)
-      << doc;
-  // And no windowed instruments were ever created.
-  EXPECT_NE(server.telemetry().RenderJson().find(
-                "\"windowed\":{\"window_micros\":1000000,\"num_windows\":8,"
-                "\"counters\":{},\"histograms\":{}}"),
-            std::string::npos);
 }
 
 }  // namespace

@@ -1,11 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <future>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "common/deadline.h"
+#include "common/thread_pool.h"
 #include "core/cn/tuple_set_cache.h"
 #include "core/cn/tuple_sets.h"
 #include "core/engine/engine.h"
@@ -195,8 +197,9 @@ TEST_F(ServeTest, ServerEnforcesTinyBudget) {
   req.budget_micros = 1;
   QueryOutcome out = server.Query(req);
   EXPECT_EQ(out.status.code(), StatusCode::kDeadlineExceeded);
-  EXPECT_EQ(server.metrics().GetCounter("serve.deadline_exceeded")->value(),
-            1u);
+  EXPECT_EQ(
+      server.telemetry().GetWindowedCounter("serve.deadline_exceeded")->total(),
+      1u);
   // A deadline-truncated answer must not poison the cache.
   QueryOutcome again = server.Query(req);
   EXPECT_FALSE(again.cache_hit);
@@ -227,8 +230,9 @@ TEST_F(ServeTest, BudgetExpiredWhileQueuedDropsBeforeBackendWork) {
   EXPECT_EQ(out.status.code(), StatusCode::kDeadlineExceeded);
   // Dropped at dispatch, not truncated mid-search: no partial response.
   EXPECT_EQ(out.relational, nullptr);
-  EXPECT_GE(server.metrics().GetCounter("serve.deadline_exceeded")->value(),
-            1u);
+  EXPECT_GE(
+      server.telemetry().GetWindowedCounter("serve.deadline_exceeded")->total(),
+      1u);
 }
 
 TEST_F(ServeTest, SynchronousQueryBudgetStartsAtTheCall) {
@@ -303,7 +307,8 @@ TEST_F(ServeTest, AdmissionControlRejectsWhenQueueFull) {
   EXPECT_TRUE(server.Submit(req, &f2).ok());
   Status rejected = server.Submit(req, &f3);
   EXPECT_EQ(rejected.code(), StatusCode::kResourceExhausted);
-  EXPECT_EQ(server.metrics().GetCounter("serve.rejected")->value(), 1u);
+  EXPECT_EQ(server.telemetry().GetWindowedCounter("serve.rejected")->total(),
+            1u);
 
   server.Shutdown();
   // Queued-but-never-run tasks fail rather than abandoning their futures.
@@ -331,7 +336,8 @@ TEST_F(ServeTest, WorkersDrainQueueAndFulfilFutures) {
     ASSERT_NE(out.relational, nullptr);
     EXPECT_FALSE(out.relational->results.empty());
   }
-  EXPECT_EQ(server.metrics().GetCounter("serve.completed")->value(), 8u);
+  EXPECT_EQ(server.telemetry().GetWindowedCounter("serve.completed")->total(),
+            8u);
   // One miss filled the cache; the duplicates hit it.
   EXPECT_GE(server.cache_stats().hits, 1u);
 }
@@ -486,7 +492,8 @@ TEST_F(ServeTest, ClosedLoopAccountsEveryRequest) {
   EXPECT_EQ(report.ok + report.deadline_exceeded + report.failed, 30u);
   EXPECT_EQ(report.failed, 0u);
   EXPECT_EQ(report.ok, 30u);
-  EXPECT_EQ(server.metrics().GetCounter("serve.completed")->value(), 30u);
+  EXPECT_EQ(server.telemetry().GetWindowedCounter("serve.completed")->total(),
+            30u);
   EXPECT_GT(report.qps, 0.0);
 }
 
@@ -519,6 +526,94 @@ TEST_F(ServeTest, ClosedLoopScheduleIsSeedDeterministic) {
 }
 
 // ---------------------------------------------------------------------------
+// Request accounting: once the server has shut down, every submitted
+// request sits in exactly one outcome bucket, whatever the schedule and
+// however real time falls against the 1 us budgets. On the TSan gate.
+
+/// Several clients `Submit` a mix — repeated queries (cache hits), one
+/// `bypass_cache` request, XML requests to a server with no XML engine
+/// (errors), 1 us budgets (ok or deadline_exceeded), and enough volume
+/// to overflow a small queue — then the server shuts down and the
+/// accounting invariants are checked.
+void CheckRequestAccounting(const engine::KeywordSearchEngine* engine,
+                            size_t num_workers) {
+  ServeOptions so;
+  so.num_workers = num_workers;
+  so.queue_capacity = 4;
+  ServingEngine server(engine, /*xml=*/nullptr, so);
+  constexpr size_t kClients = 4;
+  constexpr size_t kPerClient = 12;
+  const std::vector<std::string> queries = {"keyword search",
+                                            "database query"};
+  // Futures still pending when the clients finish (all of them with 0
+  // workers) resolve at Shutdown.
+  std::vector<std::vector<std::future<QueryOutcome>>> unsettled(kClients);
+  std::atomic<uint64_t> admitted_bypass{0};
+  ThreadPool clients(kClients);
+  clients.RunOnAll([&](size_t client) {
+    std::vector<std::future<QueryOutcome>>& pending = unsettled[client];
+    for (size_t i = 0; i < kPerClient; ++i) {
+      QueryRequest req;
+      req.query = queries[(client + i) % queries.size()];
+      if (i % 4 == 1) req.pipeline = Pipeline::kXml;
+      if (i % 4 == 2) req.budget_micros = 1;
+      req.bypass_cache = client == 0 && i == 0;
+      std::future<QueryOutcome> f;
+      if (server.Submit(req, &f).ok()) {
+        if (req.bypass_cache) admitted_bypass.fetch_add(1);
+        pending.push_back(std::move(f));
+      }
+      // With workers, each client settles its burst of three before the
+      // next, so most requests run and repeats hit the cache; four
+      // clients' bursts still overflow the queue now and then.
+      if (num_workers > 0 && i % 3 == 2) {
+        for (auto& p : pending) (void)p.get();
+        pending.clear();
+      }
+    }
+  });
+  server.Shutdown();
+  for (auto& pending : unsettled) {
+    for (auto& f : pending) (void)f.get();
+  }
+
+  obs::TelemetryRegistry& t = server.telemetry();
+  const auto total = [&](const char* name) {
+    return t.GetWindowedCounter(name)->total();
+  };
+  const uint64_t submitted = total("serve.submitted");
+  const uint64_t completed = total("serve.completed");
+  const uint64_t rejected = total("serve.rejected");
+  EXPECT_EQ(submitted, kClients * kPerClient);
+  EXPECT_EQ(submitted, completed + rejected);
+  EXPECT_EQ(completed, total("serve.ok") + total("serve.deadline_exceeded") +
+                           total("serve.errors"));
+  // With workers, Shutdown drains every admitted task; with none, it
+  // fails them all unexecuted — so an admitted bypass completed iff
+  // there were workers.
+  const uint64_t bypassed = num_workers > 0 ? admitted_bypass.load() : 0;
+  EXPECT_EQ(total("serve.cache.hits") + total("serve.cache.misses"),
+            completed - bypassed);
+  EXPECT_EQ(total("serve.cache.hits"), server.cache_stats().hits);
+  EXPECT_EQ(t.GetWindowedHistogram("serve.latency_micros")->total().count(),
+            completed);
+  if (num_workers == 0) {
+    EXPECT_EQ(completed, 0u);
+    EXPECT_EQ(rejected, submitted);
+  }
+}
+
+TEST_F(ServeTest, RequestAccountingInvariantsHoldUnderConcurrentClients) {
+  CheckRequestAccounting(engine_, /*num_workers=*/2);
+}
+
+TEST_F(ServeTest, RequestAccountingInvariantsHoldWithZeroWorkers) {
+  // Nothing executes: the queue overflows and Shutdown fails every
+  // queued task, each of which must count as rejected.
+  CheckRequestAccounting(engine_, /*num_workers=*/0);
+}
+
+// ---------------------------------------------------------------------------
 // Tuple-set frontier cache: term-level reuse across queries, capacity
 // bounds, and the complete-answers-only rule under deadlines.
 
@@ -532,20 +627,16 @@ TEST_F(ServeTest, TupleCacheHitsAcrossQueriesSharingTerms) {
   QueryRequest req;
   req.query = "keyword search";
   ASSERT_TRUE(server.Query(req).status.ok());
-  const uint64_t misses_after_first =
-      server.metrics().GetCounter("serve.tuple_cache.misses")->value();
+  const uint64_t misses_after_first = server.tuple_cache()->stats().misses;
   EXPECT_GT(misses_after_first, 0u);
-  EXPECT_EQ(server.metrics().GetCounter("serve.tuple_cache.hits")->value(),
-            0u);
+  EXPECT_EQ(server.tuple_cache()->stats().hits, 0u);
 
   // A *different* query sharing the term "keyword": the result cache
   // cannot help (different key), the term cache must.
   req.query = "keyword";
   ASSERT_TRUE(server.Query(req).status.ok());
-  EXPECT_GT(server.metrics().GetCounter("serve.tuple_cache.hits")->value(),
-            0u);
-  EXPECT_EQ(server.metrics().GetCounter("serve.tuple_cache.misses")->value(),
-            misses_after_first);
+  EXPECT_GT(server.tuple_cache()->stats().hits, 0u);
+  EXPECT_EQ(server.tuple_cache()->stats().misses, misses_after_first);
 }
 
 TEST_F(ServeTest, TupleCacheRepeatQueryIsAllHits) {
@@ -556,14 +647,11 @@ TEST_F(ServeTest, TupleCacheRepeatQueryIsAllHits) {
   QueryRequest req;
   req.query = "keyword search";
   ASSERT_TRUE(server.Query(req).status.ok());
-  const uint64_t misses =
-      server.metrics().GetCounter("serve.tuple_cache.misses")->value();
+  const uint64_t misses = server.tuple_cache()->stats().misses;
   ASSERT_TRUE(server.Query(req).status.ok());
   // The repeat resolved every term from the cache: no new misses.
-  EXPECT_EQ(server.metrics().GetCounter("serve.tuple_cache.misses")->value(),
-            misses);
-  EXPECT_GE(server.metrics().GetCounter("serve.tuple_cache.hits")->value(),
-            misses);
+  EXPECT_EQ(server.tuple_cache()->stats().misses, misses);
+  EXPECT_GE(server.tuple_cache()->stats().hits, misses);
 }
 
 TEST_F(ServeTest, TupleCacheCapacityBoundEvicts) {
@@ -575,10 +663,8 @@ TEST_F(ServeTest, TupleCacheCapacityBoundEvicts) {
   QueryRequest req;
   req.query = "keyword search";
   ASSERT_TRUE(server.Query(req).status.ok());
-  EXPECT_GE(
-      server.metrics().GetCounter("serve.tuple_cache.evictions")->value(),
-      1u);
   ASSERT_NE(server.tuple_cache(), nullptr);
+  EXPECT_GE(server.tuple_cache()->stats().evictions, 1u);
   EXPECT_EQ(server.tuple_cache()->size(), 1u);
 }
 
@@ -747,8 +833,10 @@ TEST_F(ServeTest, TraceSamplingIsDeterministicByExecutionSequence) {
     }
   }
   EXPECT_EQ(sampled, 3u);  // sequences 0, 4, 8
-  const std::string text = server.metrics().RenderText();
-  EXPECT_NE(text.find("serve.trace.sampled 3"), std::string::npos) << text;
+  const std::string json = server.telemetry().RenderJson();
+  EXPECT_NE(json.find("\"serve.trace.sampled\":{\"total\":3,"),
+            std::string::npos)
+      << json;
   server.Shutdown();
 }
 
@@ -757,10 +845,13 @@ TEST_F(ServeTest, MetricsRenderAfterServing) {
   QueryRequest req;
   req.query = "keyword search";
   ASSERT_TRUE(server.Query(req).status.ok());
-  const std::string text = server.metrics().RenderText();
-  EXPECT_NE(text.find("serve.submitted 1"), std::string::npos) << text;
-  EXPECT_NE(text.find("serve.latency_micros count=1"), std::string::npos)
-      << text;
+  const std::string json = server.telemetry().RenderJson();
+  EXPECT_NE(json.find("\"serve.submitted\":{\"total\":1,"),
+            std::string::npos)
+      << json;
+  EXPECT_NE(json.find("\"serve.latency_micros\":{\"count\":1,"),
+            std::string::npos)
+      << json;
 }
 
 // ---------------------------------------------------------------------------

@@ -500,8 +500,9 @@ TEST(ServeWriteTest, NotifyWriteBumpsEpochAndDefeatsStaleHits) {
   // not epoch-tagged, so XML hits survive the bump.
   EXPECT_EQ(server.CacheKey({/*query=*/req.query, serve::Pipeline::kXml}),
             xml_key_before);
-  EXPECT_EQ(server.metrics().GetCounter("serve.writes.notified")->value(),
-            1u);
+  EXPECT_EQ(
+      server.telemetry().GetWindowedCounter("serve.writes.notified")->total(),
+      1u);
 }
 
 TEST(ServeWriteTest, NotifyWriteInvalidatesTouchedTupleCacheTerms) {
@@ -531,9 +532,12 @@ TEST(ServeWriteTest, NotifyWriteInvalidatesTouchedTupleCacheTerms) {
   server.NotifyWrite(report);
   EXPECT_LT(server.tuple_cache()->size(), resident_before);
   EXPECT_GT(server.tuple_cache()->stats().invalidations, 0u);
-  EXPECT_GT(
-      server.metrics().GetCounter("serve.tuple_cache.invalidated")->value(),
-      0u);
+  // Statusz reads the invalidation count straight from the cache stats.
+  EXPECT_NE(server.Statusz().find(
+                "\"tuple_entries_invalidated\":" +
+                std::to_string(server.tuple_cache()->stats().invalidations) +
+                "}"),
+            std::string::npos);
 }
 
 TEST(ServeWriteTest, StandingQueryStaysCurrentAcrossWrites) {
