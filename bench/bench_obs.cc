@@ -3,10 +3,11 @@
 // rendering a Statusz document.
 //
 // Series:
-//   E25.1 instrument micro-costs: ns/op for a plain Counter::Add and
+//   E25.1 instrument micro-costs: ns/op for a plain
 //         LatencyHistogram::Record vs the windowed instruments the serve
-//         layer bumps (same-window bumps; rotation is amortized across
-//         windows), plus the worst case of a rotation on every bump.
+//         and shard layers bump (same-window bumps; rotation is amortized
+//         across windows), plus the worst case of a rotation on every
+//         bump.
 //   E25.3 snapshot cost: Statusz() and TelemetryRegistry::RenderJson()
 //         document size and render time on a warmed server.
 //
@@ -70,10 +71,6 @@ void MicroSeries() {
     for (uint64_t i = 0; i < ops; ++i) body(i);
     return watch.ElapsedMicros() * 1000.0 / static_cast<double>(ops);
   };
-
-  Counter counter;
-  table.Row({"counter.add", Fmt(ops),
-             Fmt(time_ns([&](uint64_t) { counter.Add(); }))});
 
   LatencyHistogram hist;
   table.Row({"histogram.record", Fmt(ops),

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 
 namespace kws {
 
@@ -71,112 +70,6 @@ double LatencyHistogram::PercentileMicros(double p) const {
     snap[i] = buckets_[i].load(std::memory_order_relaxed);
   }
   return PercentileOfBuckets(snap, p);
-}
-
-std::vector<HistogramBucket> LatencyHistogram::BucketSnapshot() const {
-  std::vector<HistogramBucket> out;
-  for (size_t i = 0; i < kNumBuckets; ++i) {
-    const uint64_t n = buckets_[i].load(std::memory_order_relaxed);
-    if (n == 0) continue;
-    out.push_back(
-        HistogramBucket{i, BucketLowerMicros(i), BucketUpperMicros(i), n});
-  }
-  return out;
-}
-
-Counter* MetricsRegistry::GetCounter(const std::string& name) {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::unique_ptr<Counter>& slot = counters_[name];
-  if (slot == nullptr) slot = std::make_unique<Counter>();
-  return slot.get();
-}
-
-LatencyHistogram* MetricsRegistry::GetHistogram(const std::string& name) {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::unique_ptr<LatencyHistogram>& slot = histograms_[name];
-  if (slot == nullptr) slot = std::make_unique<LatencyHistogram>();
-  return slot.get();
-}
-
-std::string MetricsRegistry::RenderText() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::string out;
-  char buf[160];
-  for (const auto& [name, counter] : counters_) {
-    std::snprintf(buf, sizeof(buf), "%s %llu\n", name.c_str(),
-                  static_cast<unsigned long long>(counter->value()));
-    out += buf;
-  }
-  for (const auto& [name, hist] : histograms_) {
-    std::snprintf(buf, sizeof(buf),
-                  "%s count=%llu mean=%.1f p50=%.1f p95=%.1f p99=%.1f\n",
-                  name.c_str(),
-                  static_cast<unsigned long long>(hist->count()),
-                  hist->MeanMicros(), hist->PercentileMicros(0.50),
-                  hist->PercentileMicros(0.95), hist->PercentileMicros(0.99));
-    out += buf;
-  }
-  return out;
-}
-
-std::string MetricsRegistry::RenderJson() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::string out;
-  char buf[96];
-  const auto append_f = [&](const char* key, double v) {
-    std::snprintf(buf, sizeof(buf), "\"%s\":%.3f", key, v);
-    out += buf;
-  };
-  const auto append_u = [&](const char* key, uint64_t v) {
-    std::snprintf(buf, sizeof(buf), "\"%s\":%llu", key,
-                  static_cast<unsigned long long>(v));
-    out += buf;
-  };
-  out += "{\"counters\":{";
-  bool first = true;
-  for (const auto& [name, counter] : counters_) {
-    if (!first) out += ",";
-    first = false;
-    out += "\"" + name + "\":";
-    std::snprintf(buf, sizeof(buf), "%llu",
-                  static_cast<unsigned long long>(counter->value()));
-    out += buf;
-  }
-  out += "},\"histograms\":{";
-  first = true;
-  for (const auto& [name, hist] : histograms_) {
-    if (!first) out += ",";
-    first = false;
-    out += "\"" + name + "\":{";
-    append_u("count", hist->count());
-    out += ",";
-    append_f("sum_micros", hist->sum_micros());
-    out += ",";
-    append_f("mean_micros", hist->MeanMicros());
-    out += ",";
-    append_f("p50_micros", hist->PercentileMicros(0.50));
-    out += ",";
-    append_f("p95_micros", hist->PercentileMicros(0.95));
-    out += ",";
-    append_f("p99_micros", hist->PercentileMicros(0.99));
-    out += ",\"buckets\":[";
-    const std::vector<HistogramBucket> snapshot = hist->BucketSnapshot();
-    for (size_t i = 0; i < snapshot.size(); ++i) {
-      if (i > 0) out += ",";
-      out += "{";
-      append_u("index", snapshot[i].index);
-      out += ",";
-      append_f("lo_micros", snapshot[i].lo_micros);
-      out += ",";
-      append_f("hi_micros", snapshot[i].hi_micros);
-      out += ",";
-      append_u("count", snapshot[i].count);
-      out += "}";
-    }
-    out += "]}";
-  }
-  out += "}}";
-  return out;
 }
 
 }  // namespace kws

@@ -3,40 +3,10 @@
 
 #include <array>
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
-#include <map>
-#include <memory>
-#include <mutex>
-#include <string>
-#include <vector>
 
 namespace kws {
-
-/// A monotonically increasing event counter. All operations are lock-free
-/// relaxed atomics: counters are safe to bump from any number of threads
-/// and reads are allowed to be slightly stale.
-class Counter {
- public:
-  void Add(uint64_t n = 1) { value_.fetch_add(n, std::memory_order_relaxed); }
-  uint64_t value() const { return value_.load(std::memory_order_relaxed); }
-
- private:
-  std::atomic<uint64_t> value_{0};
-};
-
-/// One occupied histogram bucket, with its microsecond bounds resolved so
-/// consumers (dashboards, CI trend lines) need no knowledge of the
-/// power-of-two bucketing scheme.
-struct HistogramBucket {
-  /// Bucket index in [0, LatencyHistogram::kNumBuckets).
-  size_t index = 0;
-  /// Inclusive lower edge, microseconds.
-  double lo_micros = 0;
-  /// Exclusive upper edge, microseconds.
-  double hi_micros = 0;
-  /// Observations recorded into this bucket.
-  uint64_t count = 0;
-};
 
 /// A fixed-bucket latency histogram over microseconds. Bucket `i` covers
 /// `[2^i, 2^(i+1))` us (bucket 0 covers `[0, 2)`), spanning sub-microsecond
@@ -82,49 +52,11 @@ class LatencyHistogram {
   /// winning bucket; 0 when empty.
   double PercentileMicros(double p) const;
 
-  /// The occupied buckets (count > 0) in index order, each an atomic load
-  /// — a valid approximate snapshot under concurrent writers. Raw
-  /// distribution data for exporters that want more than pre-picked
-  /// percentiles.
-  std::vector<HistogramBucket> BucketSnapshot() const;
-
  private:
   std::array<std::atomic<uint64_t>, kNumBuckets> buckets_{};
   std::atomic<uint64_t> count_{0};
   /// Sum in nanoseconds so the atomic stays integral.
   std::atomic<uint64_t> sum_nanos_{0};
-};
-
-/// A named registry of counters and histograms. `GetCounter` /
-/// `GetHistogram` lazily create on first use and return stable pointers
-/// (instruments are never removed), so hot paths resolve their instruments
-/// once and then touch only atomics. Thread-safe.
-class MetricsRegistry {
- public:
-  /// Returns the counter named `name`, creating it if needed. The pointer
-  /// stays valid for the registry's lifetime.
-  Counter* GetCounter(const std::string& name);
-
-  /// Returns the histogram named `name`, creating it if needed.
-  LatencyHistogram* GetHistogram(const std::string& name);
-
-  /// Renders every instrument as text, one per line, sorted by name:
-  /// counters as `name value`, histograms as
-  /// `name count=... mean=... p50=... p95=... p99=...` (times in us).
-  std::string RenderText() const;
-
-  /// Renders every instrument as one JSON object with a fixed key order:
-  /// `{"counters":{name:value,...},"histograms":{name:{count, sum_micros,
-  /// mean_micros, p50_micros, p95_micros, p99_micros, buckets:[{index,
-  /// lo_micros, hi_micros, count},...]},...}}`. Names sort
-  /// lexicographically (std::map order), buckets by index, times are
-  /// `%.3f` microseconds — byte-stable for a given set of recordings.
-  std::string RenderJson() const;
-
- private:
-  mutable std::mutex mu_;
-  std::map<std::string, std::unique_ptr<Counter>> counters_;
-  std::map<std::string, std::unique_ptr<LatencyHistogram>> histograms_;
 };
 
 }  // namespace kws

@@ -5,6 +5,7 @@
 #include <set>
 #include <utility>
 
+#include "common/check.h"
 #include "common/thread_pool.h"
 
 namespace kws::cn {
@@ -14,8 +15,9 @@ ContinualQuery::ContinualQuery(const relational::Database& db,
                                const ContinualOptions& options)
     : db_(db), keywords_(std::move(keywords)), options_(options) {
   TupleSets ts(db_, keywords_);
+  // Infinite deadline: the build cannot be cut short.
   const Status s = RebuildWorkload(std::move(ts), Deadline::Infinite());
-  (void)s;  // infinite deadline: cannot fail
+  KWS_CHECK_MSG(s.ok(), s.ToString());
 }
 
 Status ContinualQuery::Rebuild(const Deadline& deadline) {

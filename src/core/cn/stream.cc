@@ -108,7 +108,7 @@ std::vector<SearchResult> StreamEvaluator::OnArrival(
   // Infinite deadline: the only non-OK status is deadline expiry, so
   // this cannot drop results.
   const Status s = OnArrival(tuple, &out, stats, Deadline::Infinite());
-  (void)s;
+  KWS_CHECK_MSG(s.ok(), s.ToString());
   return out;
 }
 

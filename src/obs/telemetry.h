@@ -17,9 +17,9 @@ namespace kws::obs {
 /// rate, recent p99) from its window ring and the lifetime ones from its
 /// never-decaying total, so one event bumps one instrument.
 ///
-/// Like `kws::MetricsRegistry`, instruments are created lazily, never
-/// removed, and returned as stable pointers, so hot paths resolve each
-/// instrument once and then touch only atomics. Thread-safe.
+/// Instruments are created lazily, never removed, and returned as stable
+/// pointers, so hot paths resolve each instrument once and then touch
+/// only atomics. Thread-safe.
 class TelemetryRegistry {
  public:
   /// `clock` must outlive the registry; nullptr selects `DefaultClock()`.

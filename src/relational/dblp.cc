@@ -239,7 +239,6 @@ DblpDatabase MakeDblpDatabase(const DblpOptions& options) {
   KWS_CHECK_MSG(s.ok(), s.ToString());
   s = db.AddForeignKey("cite", "cited", "paper", "pid");
   KWS_CHECK_MSG(s.ok(), s.ToString());
-  (void)s;
 
   db.BuildTextIndexes();
   return out;

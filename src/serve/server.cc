@@ -185,8 +185,10 @@ void ServingEngine::NotifyWrite(const relational::WriteReport& report) {
     std::lock_guard<std::mutex> lock(standing_mu_);
     for (std::unique_ptr<cn::ContinualQuery>& q : standing_) {
       if (q->stale()) continue;  // untrusted until its owner rebuilds
+      // Infinite deadline on a non-stale query: propagation cannot be
+      // cut short.
       const Status s = q->OnInsertBatch(report.inserted);
-      (void)s;  // infinite deadline: propagation cannot be cut short
+      KWS_CHECK_MSG(s.ok(), s.ToString());
     }
   }
   data_epoch_.store(report.epoch, std::memory_order_release);

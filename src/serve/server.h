@@ -173,7 +173,7 @@ struct SlowQueryEntry {
 class ServingEngine {
  public:
   /// Wraps the (optional) relational and XML engines; spawns
-  /// options.worker_threads queue workers.
+  /// `options.num_workers` queue workers.
   ServingEngine(const engine::KeywordSearchEngine* relational,
                 const engine::XmlKeywordSearch* xml,
                 const ServeOptions& options = {});

@@ -74,10 +74,10 @@ ShardedEngine::ShardedEngine(const ShardedCorpus& corpus,
     : corpus_(corpus),
       options_(options),
       selector_(PruningSelectorOptions(options)),
-      queries_(metrics_.GetCounter("shard.queries")),
-      fanout_(metrics_.GetCounter("shard.fanout")),
-      pruned_(metrics_.GetCounter("shard.pruned")),
-      deadline_hits_(metrics_.GetCounter("shard.deadline.hits")) {
+      queries_(telemetry_.GetWindowedCounter("shard.queries")),
+      fanout_(telemetry_.GetWindowedCounter("shard.fanout")),
+      pruned_(telemetry_.GetWindowedCounter("shard.pruned")),
+      deadline_hits_(telemetry_.GetWindowedCounter("shard.deadline.hits")) {
   KWS_CHECK_MSG(corpus_.num_shards() > 0, "corpus has no shards");
   KWS_CHECK_MSG(options_.max_cn_size >= 1, "max_cn_size must be >= 1");
   for (size_t s = 0; s < corpus_.num_shards(); ++s) {
@@ -89,10 +89,11 @@ ShardedEngine::ShardedEngine(const ShardedCorpus& corpus,
           db, options_.tuple_cache_capacity));
     }
     const std::string prefix = "shard.s" + std::to_string(s);
-    shard_searched_.push_back(metrics_.GetCounter(prefix + ".searched"));
-    shard_pruned_.push_back(metrics_.GetCounter(prefix + ".pruned"));
+    shard_searched_.push_back(
+        telemetry_.GetWindowedCounter(prefix + ".searched"));
+    shard_pruned_.push_back(telemetry_.GetWindowedCounter(prefix + ".pruned"));
     shard_gather_micros_.push_back(
-        metrics_.GetHistogram(prefix + ".gather_micros"));
+        telemetry_.GetWindowedHistogram(prefix + ".gather_micros"));
   }
 }
 
@@ -325,22 +326,22 @@ std::string ShardedEngine::Statusz() const {
   out += ",";
   append_u("total_rows", total_rows_);
   out += ",";
-  append_u("queries", queries_->value());
+  append_u("queries", queries_->total());
   out += ",";
-  append_u("fanout", fanout_->value());
+  append_u("fanout", fanout_->total());
   out += ",";
-  append_u("pruned", pruned_->value());
+  append_u("pruned", pruned_->total());
   out += ",";
-  append_u("deadline_hits", deadline_hits_->value());
+  append_u("deadline_hits", deadline_hits_->total());
   out += ",\"per_shard\":[";
   for (size_t s = 0; s < corpus_.num_shards(); ++s) {
     if (s > 0) out += ",";
     out += "{";
     append_u("rows", corpus_.shards[s]->TotalRows());
     out += ",";
-    append_u("searched", shard_searched_[s]->value());
+    append_u("searched", shard_searched_[s]->total());
     out += ",";
-    append_u("pruned", shard_pruned_[s]->value());
+    append_u("pruned", shard_pruned_[s]->total());
     out += ",\"tuple_cache\":{";
     const cn::TupleSetCache* const cache =
         tuple_caches_.empty() ? nullptr : tuple_caches_[s].get();
@@ -364,7 +365,7 @@ std::string ShardedEngine::Statusz() const {
       append_u("invalidations", cs.invalidations);
     }
     out += "},\"gather\":{";
-    const LatencyHistogram& h = *shard_gather_micros_[s];
+    const LatencyHistogram& h = shard_gather_micros_[s]->total();
     append_u("count", h.count());
     out += ",";
     append_f("mean_micros", h.MeanMicros());

@@ -6,12 +6,12 @@
 #include <vector>
 
 #include "common/deadline.h"
-#include "common/metrics.h"
 #include "common/status.h"
 #include "common/trace.h"
 #include "core/cn/search.h"
 #include "core/cn/tuple_set_cache.h"
 #include "core/select/db_selection.h"
+#include "obs/telemetry.h"
 #include "shard/sharded_corpus.h"
 
 namespace kws::shard {
@@ -170,12 +170,14 @@ class ShardedEngine {
   size_t num_shards() const { return corpus_.num_shards(); }
   const ShardedCorpus& corpus() const { return corpus_; }
 
-  /// Engine-lifetime counters: `shard.queries`, `shard.fanout`,
-  /// `shard.pruned`, `shard.deadline.hits`, plus per-shard instruments
-  /// `shard.s<i>.searched` / `shard.s<i>.pruned` (selection skipped the
-  /// shard) and the `shard.s<i>.gather_micros` histogram (the shard's
-  /// evaluation latency as seen by the gather).
-  MetricsRegistry& metrics() const { return metrics_; }
+  /// The engine's windowed instruments over the default clock:
+  /// counters `shard.queries`, `shard.fanout`, `shard.pruned`,
+  /// `shard.deadline.hits`, plus per shard `shard.s<i>.searched` /
+  /// `shard.s<i>.pruned` (selection skipped the shard) and the
+  /// `shard.s<i>.gather_micros` histogram (the shard's evaluation latency
+  /// as seen by the gather). Each keeps its lifetime `total()` beside its
+  /// recent windows.
+  obs::TelemetryRegistry& telemetry() const { return telemetry_; }
 
   /// One operational health snapshot as a JSON document with fixed key
   /// order: engine-lifetime counters, then one object per shard — row
@@ -194,17 +196,17 @@ class ShardedEngine {
   select::DatabaseSelector selector_;
   /// One frontier cache per shard (empty when caching is disabled).
   std::vector<std::unique_ptr<cn::TupleSetCache>> tuple_caches_;
-  mutable MetricsRegistry metrics_;
+  mutable obs::TelemetryRegistry telemetry_;
   // Instruments resolved once; hot paths touch only atomics.
-  Counter* queries_;
-  Counter* fanout_;
-  Counter* pruned_;
-  Counter* deadline_hits_;
+  obs::WindowedCounter* queries_;
+  obs::WindowedCounter* fanout_;
+  obs::WindowedCounter* pruned_;
+  obs::WindowedCounter* deadline_hits_;
   // Per-shard instruments (index = shard), resolved at construction so
   // scatter workers touch only atomics.
-  std::vector<Counter*> shard_searched_;
-  std::vector<Counter*> shard_pruned_;
-  std::vector<LatencyHistogram*> shard_gather_micros_;
+  std::vector<obs::WindowedCounter*> shard_searched_;
+  std::vector<obs::WindowedCounter*> shard_pruned_;
+  std::vector<obs::WindowedHistogram*> shard_gather_micros_;
 };
 
 }  // namespace kws::shard

@@ -203,14 +203,6 @@ TEST(DeadlineCheckerTest, InfiniteNeverExpires) {
   for (int i = 0; i < 10000; ++i) EXPECT_FALSE(checker.Expired());
 }
 
-TEST(CounterTest, AddsAndReads) {
-  Counter c;
-  EXPECT_EQ(c.value(), 0u);
-  c.Add();
-  c.Add(9);
-  EXPECT_EQ(c.value(), 10u);
-}
-
 TEST(LatencyHistogramTest, CountsMeanAndSum) {
   LatencyHistogram h;
   EXPECT_EQ(h.count(), 0u);
@@ -236,108 +228,24 @@ TEST(LatencyHistogramTest, PercentilesBracketTheData) {
   EXPECT_LE(h.PercentileMicros(0.999), 8192.0);
 }
 
-TEST(MetricsRegistryTest, StablePointersAndRendering) {
-  MetricsRegistry registry;
-  Counter* c = registry.GetCounter("queries");
-  EXPECT_EQ(registry.GetCounter("queries"), c);  // same instrument
-  c->Add(3);
-  registry.GetHistogram("latency")->Record(100);
-  const std::string text = registry.RenderText();
-  EXPECT_NE(text.find("queries 3"), std::string::npos) << text;
-  EXPECT_NE(text.find("latency count=1"), std::string::npos) << text;
-}
-
 TEST(MetricsThreadingTest, ConcurrentRecordingLosesNothing) {
-  // Exercised under TSan by ci.sh: counters and histograms must be safe
-  // to bump from many threads, and no increment may be lost.
-  MetricsRegistry registry;
-  Counter* c = registry.GetCounter("hits");
-  LatencyHistogram* h = registry.GetHistogram("lat");
+  // Exercised under TSan by ci.sh: a histogram must be safe to record
+  // into from many threads, and no observation may be lost.
+  LatencyHistogram h;
   constexpr int kThreads = 4;
   constexpr int kPerThread = 5000;
   std::vector<std::thread> threads;  // stresses raw contention on purpose -- kwslint: allow(raw-thread)
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
       for (int i = 0; i < kPerThread; ++i) {
-        c->Add();
-        h->Record(static_cast<double>(t * 100 + 1));
+        h.Record(static_cast<double>(t * 100 + 1));
       }
     });
   }
   for (auto& t : threads) t.join();
-  EXPECT_EQ(c->value(), static_cast<uint64_t>(kThreads * kPerThread));
-  EXPECT_EQ(h->count(), static_cast<uint64_t>(kThreads * kPerThread));
-}
-
-TEST(LatencyHistogramTest, BucketSnapshotListsOccupiedBucketsInOrder) {
-  LatencyHistogram h;
-  EXPECT_TRUE(h.BucketSnapshot().empty());
-  h.Record(1);     // [0, 2)    -> bucket 0
-  h.Record(3);     // [2, 4)    -> bucket 1
-  h.Record(3);
-  h.Record(1000);  // [512, 1024) -> bucket 9
-  const std::vector<HistogramBucket> s = h.BucketSnapshot();
-  ASSERT_EQ(s.size(), 3u);
-  EXPECT_EQ(s[0].index, 0u);
-  EXPECT_EQ(s[0].lo_micros, 0.0);
-  EXPECT_EQ(s[0].hi_micros, 2.0);
-  EXPECT_EQ(s[0].count, 1u);
-  EXPECT_EQ(s[1].index, 1u);
-  EXPECT_EQ(s[1].lo_micros, 2.0);
-  EXPECT_EQ(s[1].hi_micros, 4.0);
-  EXPECT_EQ(s[1].count, 2u);
-  EXPECT_EQ(s[2].index, 9u);
-  EXPECT_EQ(s[2].lo_micros, 512.0);
-  EXPECT_EQ(s[2].hi_micros, 1024.0);
-  EXPECT_EQ(s[2].count, 1u);
-}
-
-TEST(MetricsRegistryTest, RenderJsonHasStableShapeAndSortedNames) {
-  MetricsRegistry registry;
-  EXPECT_EQ(registry.RenderJson(), "{\"counters\":{},\"histograms\":{}}");
-  // Insert out of order: rendering sorts by name.
-  registry.GetCounter("serve.misses")->Add(2);
-  registry.GetCounter("serve.hits")->Add(1);
-  registry.GetHistogram("serve.latency_micros")->Record(100);
-  const std::string json = registry.RenderJson();
-  EXPECT_NE(
-      json.find("\"counters\":{\"serve.hits\":1,\"serve.misses\":2}"),
-      std::string::npos)
-      << json;
-  EXPECT_NE(json.find("\"histograms\":{\"serve.latency_micros\":{\"count\":1,"
-                      "\"sum_micros\":100.000"),
-            std::string::npos)
-      << json;
-  // 100us lands in bucket 6 ([64, 128)); only occupied buckets render.
-  EXPECT_NE(json.find("\"buckets\":[{\"index\":6,\"lo_micros\":64.000,"
-                      "\"hi_micros\":128.000,\"count\":1}]"),
-            std::string::npos)
-      << json;
-  EXPECT_EQ(json.front(), '{');
-  EXPECT_EQ(json.back(), '}');
-  // The JSON exporter must not disturb the text rendering.
-  const std::string text = registry.RenderText();
-  EXPECT_NE(text.find("serve.hits 1"), std::string::npos) << text;
-  EXPECT_NE(text.find("serve.latency_micros count=1"), std::string::npos)
-      << text;
-}
-
-TEST(MetricsRegistryTest, RenderJsonGoldenBytes) {
-  // Dashboards and the benchdiff gate key off this document: the full
-  // rendering is pinned byte for byte, so any format change is a
-  // deliberate golden update.
-  MetricsRegistry registry;
-  registry.GetCounter("serve.hits")->Add(3);
-  registry.GetHistogram("serve.latency_micros")->Record(100);
-  registry.GetHistogram("serve.latency_micros")->Record(100);
-  EXPECT_EQ(
-      registry.RenderJson(),
-      "{\"counters\":{\"serve.hits\":3},"
-      "\"histograms\":{\"serve.latency_micros\":{"
-      "\"count\":2,\"sum_micros\":200.000,\"mean_micros\":100.000,"
-      "\"p50_micros\":96.000,\"p95_micros\":124.800,\"p99_micros\":127.360,"
-      "\"buckets\":[{\"index\":6,\"lo_micros\":64.000,"
-      "\"hi_micros\":128.000,\"count\":2}]}}}");
+  EXPECT_EQ(h.count(), static_cast<uint64_t>(kThreads * kPerThread));
+  // Whole-microsecond values sum exactly: 5000 * (1 + 101 + 201 + 301).
+  EXPECT_DOUBLE_EQ(h.sum_micros(), 3'020'000.0);
 }
 
 TEST(LatencyHistogramTest, PercentileEdgeCases) {
@@ -379,43 +287,6 @@ TEST(LatencyHistogramTest, PercentileEdgeCases) {
                    single.PercentileMicros(0.5));
   std::array<uint64_t, LatencyHistogram::kNumBuckets> none{};
   EXPECT_DOUBLE_EQ(LatencyHistogram::PercentileOfBuckets(none, 0.99), 0.0);
-}
-
-TEST(MetricsThreadingTest, RenderWhileRecordingIsSafe) {
-  // Exercised under TSan by ci.sh: both renderers run concurrently with
-  // writers (the serve metrics endpoint vs live traffic) and must only
-  // ever see valid snapshots.
-  MetricsRegistry registry;
-  Counter* c = registry.GetCounter("hits");
-  LatencyHistogram* h = registry.GetHistogram("lat");
-  constexpr int kWriters = 3;
-  constexpr int kPerThread = 2000;
-  std::vector<std::thread> threads;  // kwslint: allow(raw-thread) TSan fixture
-  for (int t = 0; t < kWriters; ++t) {
-    threads.emplace_back([&, t] {
-      for (int i = 0; i < kPerThread; ++i) {
-        c->Add();
-        h->Record(static_cast<double>(t * 50 + 1));
-        // Writers also race instrument creation against the renderers.
-        registry.GetCounter("writer." + std::to_string(t))->Add();
-      }
-    });
-  }
-  std::string json;
-  std::string text;
-  for (int i = 0; i < 200; ++i) {
-    json = registry.RenderJson();
-    text = registry.RenderText();
-  }
-  for (auto& t : threads) t.join();
-  json = registry.RenderJson();
-  text = registry.RenderText();
-  const std::string want =
-      "\"hits\":" + std::to_string(kWriters * kPerThread);
-  EXPECT_NE(json.find(want), std::string::npos);
-  EXPECT_NE(text.find("hits " + std::to_string(kWriters * kPerThread)),
-            std::string::npos);
-  EXPECT_EQ(h->count(), static_cast<uint64_t>(kWriters * kPerThread));
 }
 
 TEST(StringsTest, ToLower) {

@@ -254,43 +254,27 @@ TEST(KwslintMutexStyle, FlagsBadFieldNameAndManualLock) {
 
 TEST(KwslintMetricName, FlagsNonDottedLowercaseNames) {
   const std::string bad =
-      "void F(MetricsRegistry* m, trace::Tracer* t) {\n"
-      "  m->GetCounter(\"Serve.Submitted\");\n"       // uppercase
-      "  m->GetHistogram(\"serve latency\");\n"       // space
-      "  t->BeginSpan(\"cn-search\");\n"              // dash
-      "  t->AddCounter(\"results!\", 1);\n"           // punctuation
-      "  t->AddEvent(\"\");\n"                        // empty
+      "void F(obs::TelemetryRegistry* m, trace::Tracer* t) {\n"
+      "  m->GetWindowedCounter(\"Serve.Submitted\");\n"  // uppercase
+      "  m->GetWindowedHistogram(\"serve latency\");\n"  // space
+      "  t->BeginSpan(\"cn-search\");\n"                 // dash
+      "  t->AddCounter(\"results!\", 1);\n"              // punctuation
+      "  t->AddEvent(\"\");\n"                           // empty
       "}\n";
   EXPECT_EQ(CountRule(Lint("src/serve/foo.cc", bad), "metric-name"), 5u);
 }
 
 TEST(KwslintMetricName, AcceptsDottedLowercaseAndSkipsNonLiterals) {
   const std::string good =
-      "void F(MetricsRegistry* m, trace::Tracer* t, const char* dyn) {\n"
-      "  m->GetCounter(\"serve.cache.hits\");\n"
-      "  m->GetHistogram(\"serve.latency_micros\");\n"
+      "void F(obs::TelemetryRegistry* m, trace::Tracer* t,\n"
+      "       const char* dyn) {\n"
+      "  m->GetWindowedCounter(\"serve.cache.hits\");\n"
+      "  m->GetWindowedHistogram(\"serve.latency_micros\");\n"
       "  t->BeginSpan(\"cn.execute.naive\");\n"
       "  t->AddCounter(\"frontier_rows\", 42);\n"
-      "  t->BeginSpan(dyn);\n"  // non-literal: not checked
+      "  m->GetWindowedCounter(dyn);\n"  // non-literal: not checked
+      "  t->BeginSpan(dyn);\n"           // non-literal: not checked
       "  trace::TraceSpan span(t, \"cn.topk\");\n"
-      "}\n";
-  EXPECT_EQ(CountRule(Lint("src/serve/foo.cc", good), "metric-name"), 0u);
-}
-
-TEST(KwslintMetricName, CoversWindowedInstrumentGetters) {
-  // The windowed registry entry points are checked exactly like the
-  // cumulative ones.
-  const std::string bad =
-      "void F(obs::TelemetryRegistry* t) {\n"
-      "  t->GetWindowedCounter(\"Serve.Submitted\");\n"
-      "  t->GetWindowedHistogram(\"serve latency\");\n"
-      "}\n";
-  EXPECT_EQ(CountRule(Lint("src/serve/foo.cc", bad), "metric-name"), 2u);
-  const std::string good =
-      "void F(obs::TelemetryRegistry* t, const std::string& dyn) {\n"
-      "  t->GetWindowedCounter(\"serve.submitted\");\n"
-      "  t->GetWindowedHistogram(\"serve.latency_micros\");\n"
-      "  t->GetWindowedCounter(dyn);\n"  // non-literal: not checked
       "}\n";
   EXPECT_EQ(CountRule(Lint("src/serve/foo.cc", good), "metric-name"), 0u);
 }
@@ -325,8 +309,8 @@ TEST(KwslintMetricName, ChecksLiteralOnTheContinuationLine) {
   ASSERT_EQ(CountRule(diags, "metric-name"), 1u);
   EXPECT_EQ(diags[0].line, 3);
   const std::string good =
-      "void F(MetricsRegistry* m) {\n"
-      "  m->GetCounter(\n"
+      "void F(obs::TelemetryRegistry* m) {\n"
+      "  m->GetWindowedCounter(\n"
       "      \"serve.tuple_cache.evictions\");\n"
       "}\n";
   EXPECT_EQ(CountRule(Lint("src/serve/foo.cc", good), "metric-name"), 0u);

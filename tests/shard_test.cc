@@ -267,9 +267,10 @@ TEST(ShardedEngineTest, CountersAccumulateAcrossQueries) {
   const ShardedEngine engine(corpus);
   engine.Search("keyword search");
   engine.Search("database");
-  EXPECT_EQ(engine.metrics().GetCounter("shard.queries")->value(), 2u);
-  EXPECT_EQ(engine.metrics().GetCounter("shard.fanout")->value() +
-                engine.metrics().GetCounter("shard.pruned")->value(),
+  obs::TelemetryRegistry& t = engine.telemetry();
+  EXPECT_EQ(t.GetWindowedCounter("shard.queries")->total(), 2u);
+  EXPECT_EQ(t.GetWindowedCounter("shard.fanout")->total() +
+                t.GetWindowedCounter("shard.pruned")->total(),
             6u);
 }
 
@@ -342,12 +343,12 @@ TEST(ShardStatuszTest, ReportsPerShardCountersAndGatherLatency) {
   uint64_t searched = 0;
   uint64_t pruned = 0;
   uint64_t gathered = 0;
+  obs::TelemetryRegistry& t = engine.telemetry();
   for (size_t s = 0; s < shards; ++s) {
     const std::string prefix = "shard.s" + std::to_string(s);
-    searched += engine.metrics().GetCounter(prefix + ".searched")->value();
-    pruned += engine.metrics().GetCounter(prefix + ".pruned")->value();
-    gathered +=
-        engine.metrics().GetHistogram(prefix + ".gather_micros")->count();
+    searched += t.GetWindowedCounter(prefix + ".searched")->total();
+    pruned += t.GetWindowedCounter(prefix + ".pruned")->total();
+    gathered += t.GetWindowedHistogram(prefix + ".gather_micros")->count();
   }
   EXPECT_EQ(searched, resp.stats.shards_searched);
   EXPECT_EQ(pruned, resp.stats.shards_pruned);
@@ -364,6 +365,85 @@ TEST(ShardStatuszTest, ReportsPerShardCountersAndGatherLatency) {
   // except the gather means/percentiles never change without traffic —
   // i.e. fully identical.
   EXPECT_EQ(doc, engine.Statusz());
+}
+
+// The document with every real-time reading (the gather mean and
+// percentiles) replaced by `#`; everything left is a pure function of the
+// query sequence.
+std::string MaskGatherTimes(std::string doc) {
+  for (const char* key : {"\"mean_micros\":", "\"p50_micros\":",
+                          "\"p95_micros\":", "\"p99_micros\":"}) {
+    const std::string k = key;
+    for (size_t pos = doc.find(k); pos != std::string::npos;
+         pos = doc.find(k, pos)) {
+      pos += k.size();
+      const size_t end = doc.find_first_of(",}", pos);
+      doc.replace(pos, end - pos, "#");
+    }
+  }
+  return doc;
+}
+
+TEST(ShardStatuszTest, GoldenBytes) {
+  const ShardedCorpus corpus = MakeShardedDblp(SmallDblp(17), 3);
+  const ShardedEngine engine(corpus);
+  const std::string fresh =
+      "{\"shards\":3,\"total_rows\":438,\"queries\":0,\"fanout\":0,"
+      "\"pruned\":0,\"deadline_hits\":0,\"per_shard\":["
+      "{\"rows\":155,\"searched\":0,\"pruned\":0,"
+      "\"tuple_cache\":{\"configured\":true,\"capacity\":128,\"size\":0,"
+      "\"hits\":0,\"misses\":0,\"insertions\":0,\"evictions\":0,"
+      "\"invalidations\":0},"
+      "\"gather\":{\"count\":0,\"mean_micros\":0.000,\"p50_micros\":0.000,"
+      "\"p95_micros\":0.000,\"p99_micros\":0.000}},"
+      "{\"rows\":137,\"searched\":0,\"pruned\":0,"
+      "\"tuple_cache\":{\"configured\":true,\"capacity\":128,\"size\":0,"
+      "\"hits\":0,\"misses\":0,\"insertions\":0,\"evictions\":0,"
+      "\"invalidations\":0},"
+      "\"gather\":{\"count\":0,\"mean_micros\":0.000,\"p50_micros\":0.000,"
+      "\"p95_micros\":0.000,\"p99_micros\":0.000}},"
+      "{\"rows\":146,\"searched\":0,\"pruned\":0,"
+      "\"tuple_cache\":{\"configured\":true,\"capacity\":128,\"size\":0,"
+      "\"hits\":0,\"misses\":0,\"insertions\":0,\"evictions\":0,"
+      "\"invalidations\":0},"
+      "\"gather\":{\"count\":0,\"mean_micros\":0.000,\"p50_micros\":0.000,"
+      "\"p95_micros\":0.000,\"p99_micros\":0.000}}]}";
+  EXPECT_EQ(engine.Statusz(), fresh);
+
+  // A fixed sequence on one scatter thread: a repeat (tuple-cache hits),
+  // queries selection prunes shards for, and an already-expired budget.
+  ShardedSearchOptions sso;
+  sso.num_threads = 1;
+  for (const std::string& q : Queries()) engine.Search(q, sso);
+  engine.Search("keyword search", sso);
+  sso.deadline = Deadline::AfterMicros(0);
+  engine.Search("database query", sso);
+
+  // Per shard: searched 5 + pruned 1 = 6 queries and one gather sample
+  // per search; the repeat and the expired-budget query reuse their four
+  // cached tuple sets.
+  const std::string after =
+      "{\"shards\":3,\"total_rows\":438,\"queries\":6,\"fanout\":15,"
+      "\"pruned\":3,\"deadline_hits\":1,\"per_shard\":["
+      "{\"rows\":155,\"searched\":5,\"pruned\":1,"
+      "\"tuple_cache\":{\"configured\":true,\"capacity\":128,\"size\":5,"
+      "\"hits\":4,\"misses\":5,\"insertions\":5,\"evictions\":0,"
+      "\"invalidations\":0},"
+      "\"gather\":{\"count\":5,\"mean_micros\":#,\"p50_micros\":#,"
+      "\"p95_micros\":#,\"p99_micros\":#}},"
+      "{\"rows\":137,\"searched\":5,\"pruned\":1,"
+      "\"tuple_cache\":{\"configured\":true,\"capacity\":128,\"size\":5,"
+      "\"hits\":4,\"misses\":5,\"insertions\":5,\"evictions\":0,"
+      "\"invalidations\":0},"
+      "\"gather\":{\"count\":5,\"mean_micros\":#,\"p50_micros\":#,"
+      "\"p95_micros\":#,\"p99_micros\":#}},"
+      "{\"rows\":146,\"searched\":5,\"pruned\":1,"
+      "\"tuple_cache\":{\"configured\":true,\"capacity\":128,\"size\":5,"
+      "\"hits\":4,\"misses\":5,\"insertions\":5,\"evictions\":0,"
+      "\"invalidations\":0},"
+      "\"gather\":{\"count\":5,\"mean_micros\":#,\"p50_micros\":#,"
+      "\"p95_micros\":#,\"p99_micros\":#}}]}";
+  EXPECT_EQ(MaskGatherTimes(engine.Statusz()), after);
 }
 
 }  // namespace

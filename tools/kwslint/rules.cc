@@ -552,9 +552,8 @@ void CheckDocComment(const SourceFile& f, std::vector<Diagnostic>* out) {
 /// is a metric or span name.
 const std::set<std::string>& MetricNameCalls() {
   static const std::set<std::string> kCalls = {
-      "GetCounter",         "GetHistogram", "GetWindowedCounter",
-      "GetWindowedHistogram", "BeginSpan",  "TraceSpan",
-      "AddCounter",         "AddEvent",
+      "GetWindowedCounter", "GetWindowedHistogram", "BeginSpan",
+      "TraceSpan",          "AddCounter",           "AddEvent",
   };
   return kCalls;
 }

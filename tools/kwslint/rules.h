@@ -29,9 +29,10 @@ struct Diagnostic {
 ///   header-guard — wrong include-guard name, #pragma once, bad filename
 ///   mutex-style  — mutex field not named *_mu_/mu_, or manual lock()
 ///   metric-name  — metric/span name literal not dotted lowercase
-///                  ([a-z0-9_.]+) in GetCounter/GetHistogram/TraceSpan/
-///                  BeginSpan/AddCounter/AddEvent calls, scanned to the
-///                  call's matching close paren
+///                  ([a-z0-9_.]+) in GetWindowedCounter/
+///                  GetWindowedHistogram/TraceSpan/BeginSpan/AddCounter/
+///                  AddEvent calls, scanned to the call's matching close
+///                  paren
 ///
 /// Semantic rules (pass 2, over the pass-1 ProjectModel):
 ///   status-discard      — call to a kws::Status/Result-returning function
