@@ -1,10 +1,10 @@
 #include "core/analyze/snippet.h"
 
 #include <algorithm>
-#include <map>
+#include <cstdint>
 #include <set>
 
-#include "text/tokenizer.h"
+#include "common/check.h"
 
 namespace kws::analyze {
 
@@ -16,10 +16,12 @@ std::vector<SnippetItem> GenerateSnippet(const XmlTree& tree,
                                          XmlNodeId result_root,
                                          const std::vector<std::string>& keywords,
                                          const SnippetOptions& options) {
+  KWS_CHECK_MSG(stats.feature_begin.size() == tree.size() + 1,
+                "PathStatistics were computed for a different tree, or the "
+                "tree grew after ComputePathStatistics");
   std::vector<SnippetItem> items;
   std::set<XmlNodeId> chosen;
   const XmlNodeId end = tree.SubtreeEnd(result_root);
-  text::Tokenizer tokenizer;
 
   auto add = [&](XmlNodeId n, SnippetItem::Reason reason) {
     if (items.size() >= options.max_items) return false;
@@ -47,31 +49,33 @@ std::vector<SnippetItem> GenerateSnippet(const XmlTree& tree,
       }
     }
   }
-  // 3. Dominant features: the most frequent (tag, text) pairs among the
-  //    result's descendants — informativeness.
-  std::map<std::pair<std::string, std::string>, size_t> feature_counts;
-  std::map<std::pair<std::string, std::string>, XmlNodeId> feature_node;
+  // 3. Dominant features: the most frequent (tag, term) pairs among the
+  //    result's descendants — informativeness. Preorder ids make the
+  //    subtree's entries one slice of the precomputed feature table;
+  //    ranking is (count desc, id asc), and id order is (tag, term) order.
+  std::vector<uint32_t> count(stats.num_features, 0);
+  std::vector<XmlNodeId> first(stats.num_features);
+  std::vector<uint32_t> touched;
   for (XmlNodeId n = result_root; n <= end; ++n) {
-    if (tree.text(n).empty()) continue;
-    const std::vector<std::string> toks = tokenizer.Tokenize(tree.text(n));
-    for (const std::string& t : toks) {
-      const auto key = std::make_pair(tree.tag(n), t);
-      ++feature_counts[key];
-      feature_node.emplace(key, n);
+    for (uint32_t p = stats.feature_begin[n]; p < stats.feature_begin[n + 1];
+         ++p) {
+      const uint32_t f = stats.features[p];
+      if (count[f]++ == 0) {
+        first[f] = n;
+        touched.push_back(f);
+      }
     }
   }
-  std::vector<std::pair<size_t, std::pair<std::string, std::string>>> ranked;
-  for (const auto& [key, count] : feature_counts) {
-    ranked.emplace_back(count, key);
-  }
-  std::sort(ranked.begin(), ranked.end(), [](const auto& a, const auto& b) {
-    if (a.first != b.first) return a.first > b.first;
-    return a.second < b.second;
+  std::erase_if(touched, [&](uint32_t f) {
+    return count[f] < 2;  // dominant means repeated
   });
-  for (const auto& [count, key] : ranked) {
+  std::sort(touched.begin(), touched.end(), [&](uint32_t a, uint32_t b) {
+    if (count[a] != count[b]) return count[a] > count[b];
+    return a < b;
+  });
+  for (uint32_t f : touched) {
     if (items.size() >= options.max_items) break;
-    if (count < 2) break;  // dominant means repeated
-    add(feature_node[key], SnippetItem::Reason::kDominantFeature);
+    add(first[f], SnippetItem::Reason::kDominantFeature);
   }
   // 4. Pad with entity children if there is room.
   for (XmlNodeId c : tree.children(result_root)) {

@@ -27,7 +27,9 @@ struct SnippetOptions {
 /// al., SIGMOD 08; tutorial slide 148). The snippet is self-contained
 /// (includes the result's identifying key), informative (keyword matches
 /// and dominant features) and concise (bounded size). Items are returned
-/// in document order.
+/// in document order. `stats` must be `ComputePathStatistics(tree)`; the
+/// dominant features are counted from its feature table, and a table of
+/// another size aborts (KWS_CHECK).
 std::vector<SnippetItem> GenerateSnippet(
     const xml::XmlTree& tree, const xml::PathStatistics& stats,
     xml::XmlNodeId result_root, const std::vector<std::string>& keywords,

@@ -71,8 +71,9 @@ struct XmlExplainResult {
 /// snippets -> context clustering.
 class XmlKeywordSearch {
  public:
-  /// Precomputes ElemRank and path statistics. `tree` must outlive the
-  /// engine and must have its keyword index built.
+  /// Precomputes ElemRank and path statistics, including the snippet
+  /// feature table, so no query tokenizes result subtrees. `tree` must
+  /// outlive the engine and must have its keyword index built.
   explicit XmlKeywordSearch(const xml::XmlTree& tree);
 
   /// Answers `query` over the indexed tree; honors options.deadline

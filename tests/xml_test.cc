@@ -1,10 +1,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <map>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "xml/bibgen.h"
 #include "xml/parser.h"
+#include "text/tokenizer.h"
 #include "xml/stats.h"
 #include "xml/tree.h"
 
@@ -192,6 +197,53 @@ TEST(PathStatisticsTest, AuthorsRepeatable) {
   PathStatistics stats = ComputePathStatistics(t);
   EXPECT_TRUE(stats.path_repeatable["/conf/paper/author"]);
   EXPECT_FALSE(stats.path_repeatable["/conf/paper/title"]);
+}
+
+TEST(PathStatisticsTest, FeatureTableIndexesEveryToken) {
+  BibDocument doc = MakeBibDocument({.seed = 3, .num_venues = 6,
+                                     .papers_per_venue = 5});
+  const XmlTree& tree = doc.tree;
+  const PathStatistics stats = ComputePathStatistics(tree);
+  ASSERT_EQ(stats.feature_begin.size(), tree.size() + 1);
+  EXPECT_EQ(stats.feature_begin.front(), 0u);
+  EXPECT_EQ(stats.feature_begin.back(), stats.features.size());
+  // Node n's range holds exactly its own tokens, in order, one entry
+  // each; every (tag, term) pair maps to one id and each id to one pair.
+  const text::Tokenizer tokenizer;
+  std::map<std::pair<std::string, std::string>, uint32_t> id_of;
+  for (XmlNodeId n = 0; n < tree.size(); ++n) {
+    const std::vector<std::string> tokens = tokenizer.Tokenize(tree.text(n));
+    const uint32_t begin = stats.feature_begin[n];
+    ASSERT_LE(begin, stats.feature_begin[n + 1]);
+    ASSERT_EQ(stats.feature_begin[n + 1] - begin, tokens.size())
+        << "node " << n;
+    if (tree.text(n).empty()) {
+      EXPECT_TRUE(tokens.empty());
+    }
+    for (size_t i = 0; i < tokens.size(); ++i) {
+      const uint32_t id = stats.features[begin + i];
+      ASSERT_LT(id, stats.num_features);
+      const auto [it, inserted] =
+          id_of.try_emplace({tree.tag(n), tokens[i]}, id);
+      EXPECT_EQ(it->second, id) << tree.tag(n) << " " << tokens[i];
+    }
+  }
+  // Ids are dense and follow (tag, term) order: walking the pairs in
+  // order yields 0, 1, 2, ...
+  ASSERT_EQ(id_of.size(), stats.num_features);
+  uint32_t expected = 0;
+  for (const auto& [pair, id] : id_of) EXPECT_EQ(id, expected++);
+  // Elements without text (the root, venues, papers) have empty ranges.
+  EXPECT_EQ(stats.feature_begin[0], stats.feature_begin[1]);
+  const XmlNodeId venue = tree.children(0)[0];
+  EXPECT_EQ(stats.feature_begin[venue], stats.feature_begin[venue + 1]);
+}
+
+TEST(PathStatisticsTest, FeatureTableOfEmptyTree) {
+  const PathStatistics stats = ComputePathStatistics(XmlTree());
+  EXPECT_EQ(stats.num_features, 0u);
+  EXPECT_EQ(stats.feature_begin, std::vector<uint32_t>{0});
+  EXPECT_TRUE(stats.features.empty());
 }
 
 }  // namespace
