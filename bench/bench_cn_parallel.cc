@@ -1,6 +1,5 @@
 // E21: intra-query parallel CN execution — worker-pool scaling with
-// modeled per-CN RDBMS round-trips, the honest pure-CPU numbers, and the
-// one-worker collector overhead.
+// modeled per-CN RDBMS round-trips and the honest pure-CPU numbers.
 //
 // Series:
 //   E21.1 modeled-IO scaling: DISCOVER-style deployments issue one SQL
@@ -11,10 +10,6 @@
 //   E21.2 pure-CPU scaling (simulated_cn_io_micros = 0) on the same
 //         workload — recorded honestly: on a single-core host there is
 //         nothing to overlap and the pool is pure overhead.
-//   E21.3 one-worker collector delta: a one-thread evaluation collects
-//         into the total-ordered OrderedTopK rather than the
-//         insertion-ordered TopK; this measures the offer-loop cost of
-//         both over identical streams.
 //
 // Every multi-thread run is checked bit-for-bit against the one-thread
 // run of the same evaluation loop (score, cn_index, tuples) — the bench
@@ -31,7 +26,6 @@
 // (kSparse prunes its tail, so it tops out below kNaive); the >= 2.5x
 // acceptance bar at 8 workers refers to the modeled-IO kNaive row.
 
-#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -41,7 +35,6 @@
 
 #include "bench_util.h"
 #include "common/stopwatch.h"
-#include "common/topk.h"
 #include "core/cn/search.h"
 #include "relational/dblp.h"
 
@@ -158,58 +151,6 @@ void ScalingSeries(const char* id, const char* title,
   }
 }
 
-void CollectorOverheadSeries() {
-  Banner("E21.3", "serial collector: TopK vs OrderedTopK offer loop");
-  // A one-thread evaluation collects into the total-ordered OrderedTopK
-  // rather than the insertion-ordered TopK; this offers identical streams
-  // to both.
-  // With (near-)distinct scores the comparators decide on the score and
-  // the collectors are interchangeable; exact ties make OrderedTopK fall
-  // through to the (cn_index, tuples) keys — the tie-heavy row is that
-  // worst case, far denser in ties than any real score distribution.
-  const size_t n = g_smoke ? 200'000 : 2'000'000;
-  const size_t reps = g_smoke ? 2 : 5;
-  TablePrinter table(
-      {"stream", "collector", "offers", "best_ms", "delta_pct"});
-  struct Shape {
-    const char* name;
-    size_t distinct_scores;
-  };
-  for (const Shape shape : {Shape{"distinct", 1'000'003},
-                            Shape{"tie-heavy", 1'024}}) {
-    std::vector<SearchResult> stream(n);
-    for (size_t i = 0; i < n; ++i) {
-      stream[i].score = static_cast<double>(
-          (i * 2654435761u) % shape.distinct_scores);
-      stream[i].cn_index = i % 37;
-      stream[i].tuples = {{static_cast<relational::TableId>(i % 5),
-                           static_cast<relational::RowId>(i)}};
-    }
-    // Best-of-reps: the offer loop is allocation-free after warmup, so
-    // the minimum is the least noisy estimator of its true cost.
-    double legacy_ms = 1e300, ordered_ms = 1e300;
-    for (size_t rep = 0; rep < reps; ++rep) {
-      {
-        Stopwatch watch;
-        TopK<SearchResult> top(10);
-        for (const SearchResult& r : stream) top.Offer(r.score, r);
-        legacy_ms = std::min(legacy_ms, watch.ElapsedMillis());
-      }
-      {
-        Stopwatch watch;
-        OrderedTopK<SearchResult, cn::SearchResultOrder> top(10);
-        for (const SearchResult& r : stream) top.Offer(r);
-        ordered_ms = std::min(ordered_ms, watch.ElapsedMillis());
-      }
-    }
-    table.Row({shape.name, "TopK", Fmt(static_cast<uint64_t>(n)),
-               Fmt(legacy_ms), Fmt(0.0)});
-    table.Row({shape.name, "OrderedTopK", Fmt(static_cast<uint64_t>(n)),
-               Fmt(ordered_ms),
-               Fmt((ordered_ms - legacy_ms) / legacy_ms * 100.0)});
-  }
-}
-
 void RunExperiment() {
   std::printf("E21: intra-query parallel CN execution%s\n",
               g_smoke ? " (smoke)" : "");
@@ -219,7 +160,6 @@ void RunExperiment() {
                 w, g_smoke ? 1000 : 2000);
   ScalingSeries("E21.2", "pure CPU (no modeled IO), 1..8 workers", search, w,
                 0);
-  CollectorOverheadSeries();
 }
 
 }  // namespace

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <map>
+#include <string>
+#include <utility>
 
 #include "common/topk.h"
 
@@ -55,6 +57,28 @@ std::vector<uint32_t> RowMasks(const relational::Database& db,
   }
   return masks;
 }
+
+/// A cell's enumeration key in TopCells: the mask of its present
+/// dimensions, then their values as strings (its group key).
+std::pair<uint32_t, std::vector<std::string>> CellKey(const CubeCell& cell) {
+  std::pair<uint32_t, std::vector<std::string>> key;
+  for (size_t d = 0; d < cell.dims.size(); ++d) {
+    if (!cell.dims[d].has_value()) continue;
+    key.first |= 1u << d;
+    key.second.push_back(cell.dims[d]->ToString());
+  }
+  return key;
+}
+
+/// Average relevance descending, then the enumeration key ascending.
+struct CubeCellOrder {
+  bool operator()(const CubeCell& a, const CubeCell& b) const {
+    if (a.avg_relevance != b.avg_relevance) {
+      return a.avg_relevance > b.avg_relevance;
+    }
+    return CellKey(a) < CellKey(b);
+  }
+};
 
 }  // namespace
 
@@ -156,7 +180,7 @@ std::vector<CubeCell> TopCells(const relational::Database& db,
   for (RowId r = 0; r < t.num_rows(); ++r) {
     relevance[r] = db.TextIndex(table).Score(r, terms);
   }
-  TopK<CubeCell> top(k);
+  OrderedTopK<CubeCell, CubeCellOrder> top(k);
   const size_t nd = dimensions.size();
   for (uint32_t subset = 0; subset < (1u << nd); ++subset) {
     std::map<std::vector<std::string>, CubeCell> cells;
@@ -181,12 +205,10 @@ std::vector<CubeCell> TopCells(const relational::Database& db,
       for (RowId r : cell.rows) sum += relevance[r];
       cell.avg_relevance = sum / static_cast<double>(cell.support);
       if (cell.avg_relevance <= 0) continue;
-      top.Offer(cell.avg_relevance, std::move(cell));
+      top.Offer(std::move(cell));
     }
   }
-  std::vector<CubeCell> out;
-  for (auto& [score, cell] : top.TakeSorted()) out.push_back(std::move(cell));
-  return out;
+  return top.TakeSorted();
 }
 
 }  // namespace kws::analyze

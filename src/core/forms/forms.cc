@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <deque>
 #include <set>
+#include <tuple>
 #include <unordered_map>
 
 #include "common/topk.h"
@@ -98,6 +99,26 @@ double OperatorQueriability(const relational::Database& db, TableId table,
 
 namespace {
 
+/// Queriability descending, then (table, column, operator) ascending.
+struct FormFieldOrder {
+  bool operator()(const FormField& a, const FormField& b) const {
+    if (a.queriability != b.queriability) {
+      return a.queriability > b.queriability;
+    }
+    return std::tie(a.table, a.column, a.op) <
+           std::tie(b.table, b.column, b.op);
+  }
+};
+
+/// Score descending, then form index ascending.
+struct RankedFormOrder {
+  bool operator()(const FormIndex::RankedForm& a,
+                  const FormIndex::RankedForm& b) const {
+    if (a.score != b.score) return a.score > b.score;
+    return a.form < b.form;
+  }
+};
+
 struct Skeleton {
   std::vector<TableId> tables;
   std::vector<uint32_t> fks;
@@ -167,7 +188,7 @@ std::vector<QueryForm> GenerateForms(const relational::Database& db,
       form.queriability *= std::max(infer::Relatedness(db, fk), 1e-3);
     }
     // Fields: most queriable (attribute, operator) pairs across tables.
-    TopK<FormField> top(options.max_fields);
+    OrderedTopK<FormField, FormFieldOrder> top(options.max_fields);
     for (TableId t : s.tables) {
       const Table& table = db.table(t);
       for (ColumnId c = 0; c < table.schema().columns.size(); ++c) {
@@ -178,11 +199,11 @@ std::vector<QueryForm> GenerateForms(const relational::Database& db,
           const double q =
               OperatorQueriability(db, t, c, op) *
               AttributeQueriability(db, t, c);
-          if (q > 0) top.Offer(q, FormField{t, c, op, q});
+          if (q > 0) top.Offer(FormField{t, c, op, q});
         }
       }
     }
-    for (auto& [q, field] : top.TakeSorted()) form.fields.push_back(field);
+    form.fields = top.TakeSorted();
     forms.push_back(std::move(form));
   }
   std::sort(forms.begin(), forms.end(),
@@ -238,18 +259,11 @@ std::vector<FormIndex::RankedForm> FormIndex::Search(const std::string& query,
       s = std::max(s, d.score);
     }
   }
-  // TopK breaks score ties by insertion order, so offer from a sorted
-  // snapshot: iterating the unordered map directly would make the
-  // retained set hash-order-dependent at tied scores.
-  std::vector<std::pair<size_t, double>> by_form(best.begin(), best.end());
-  std::sort(by_form.begin(), by_form.end());
-  TopK<size_t> top(k);
-  for (const auto& [form, score] : by_form) top.Offer(score, form);
-  std::vector<RankedForm> out;
-  for (auto& [score, form] : top.TakeSorted()) {
-    out.push_back(RankedForm{form, score});
+  OrderedTopK<RankedForm, RankedFormOrder> top(k);
+  for (const auto& [form, score] : best) {  // the top-k is offer-order independent -- kwslint: allow(unordered-iteration)
+    top.Offer(RankedForm{form, score});
   }
-  return out;
+  return top.TakeSorted();
 }
 
 std::vector<std::vector<FormIndex::RankedForm>> FormIndex::GroupBySkeleton(

@@ -13,6 +13,19 @@ using relational::RowId;
 using relational::Table;
 using relational::ValueType;
 
+namespace {
+
+/// Probability descending, then the binding vector in lexicographic
+/// order.
+struct InterpretationOrder {
+  bool operator()(const Interpretation& a, const Interpretation& b) const {
+    if (a.probability != b.probability) return a.probability > b.probability;
+    return a.bindings < b.bindings;
+  }
+};
+
+}  // namespace
+
 std::string Interpretation::ToString(
     const relational::TableSchema& schema,
     const std::vector<std::string>& keywords) const {
@@ -80,14 +93,14 @@ std::vector<Interpretation> IqpRanker::Rank(
   }
   // Enumerate bindings (num_cols^keywords, small for entity tables);
   // keep top-k by probability.
-  TopK<Interpretation> top(k);
+  OrderedTopK<Interpretation, InterpretationOrder> top(k);
   std::vector<ColumnId> current(keywords.size(), 0);
   auto enumerate = [&](auto&& self, size_t i, double prob) -> void {
     if (i == keywords.size()) {
       Interpretation interp;
       interp.bindings = current;
       interp.probability = prob;
-      top.Offer(prob, std::move(interp));
+      top.Offer(std::move(interp));
       return;
     }
     for (ColumnId c = 0; c < num_cols; ++c) {
@@ -97,9 +110,7 @@ std::vector<Interpretation> IqpRanker::Rank(
     }
   };
   enumerate(enumerate, 0, 1.0);
-  std::vector<Interpretation> out;
-  for (auto& [p, interp] : top.TakeSorted()) out.push_back(std::move(interp));
-  return out;
+  return top.TakeSorted();
 }
 
 }  // namespace kws::infer

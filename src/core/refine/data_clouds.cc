@@ -44,13 +44,15 @@ double TermWeight(const text::InvertedIndex& index, const std::string& term,
   return weight;
 }
 
-std::vector<SuggestedTerm> TakeTop(TopK<std::string>& top) {
-  std::vector<SuggestedTerm> out;
-  for (auto& [score, term] : top.TakeSorted()) {
-    out.push_back(SuggestedTerm{std::move(term), score});
+/// Weight descending, then term ascending.
+struct SuggestedTermOrder {
+  bool operator()(const SuggestedTerm& a, const SuggestedTerm& b) const {
+    if (a.score != b.score) return a.score > b.score;
+    return a.term < b.term;
   }
-  return out;
-}
+};
+
+using TermTopK = OrderedTopK<SuggestedTerm, SuggestedTermOrder>;
 
 }  // namespace
 
@@ -63,13 +65,13 @@ std::vector<SuggestedTerm> SuggestTerms(const text::InvertedIndex& index,
   for (const std::string& t : index.tokenizer().Tokenize(query)) {
     query_terms.insert(t);
   }
-  TopK<std::string> top(k);
-  for (const std::string& term : index.Vocabulary()) {
+  TermTopK top(k);
+  for (std::string& term : index.Vocabulary()) {
     if (query_terms.count(term) > 0) continue;
     const double w = TermWeight(index, term, results, ranking, nullptr);
-    if (w > 0) top.Offer(w, term);
+    if (w > 0) top.Offer(SuggestedTerm{std::move(term), w});
   }
-  return TakeTop(top);
+  return top.TakeSorted();
 }
 
 std::vector<SuggestedTerm> FrequentCoOccurringTerms(
@@ -90,20 +92,23 @@ std::vector<SuggestedTerm> FrequentCoOccurringTerms(
               if (da != db) return da > db;
               return a < b;
             });
-  TopK<std::string> top(k);
-  for (const std::string& term : vocab) {
+  TermTopK top(k);
+  for (std::string& term : vocab) {
     // Upper bound: a term cannot co-occur in more result rows than its
-    // total document frequency (tf >= 1 per doc).
-    if (top.Full() &&
-        top.WouldReject(static_cast<double>(index.DocFreq(term)))) {
-      break;  // all remaining terms have even smaller df
+    // total document frequency (tf >= 1 per doc). Probe with the bound
+    // and the empty term, which ranks above every real term of that
+    // weight: a tie with the worst retained term does not stop the scan,
+    // since a later, lexicographically smaller term may still enter.
+    if (top.WouldReject(
+            SuggestedTerm{"", static_cast<double>(index.DocFreq(term))})) {
+      break;  // all remaining terms have no larger df
     }
     if (query_terms.count(term) > 0) continue;
     const double w = TermWeight(index, term, results,
                                 TermRanking::kPopularity, postings_scanned);
-    if (w > 0) top.Offer(w, term);
+    if (w > 0) top.Offer(SuggestedTerm{std::move(term), w});
   }
-  return TakeTop(top);
+  return top.TakeSorted();
 }
 
 }  // namespace kws::refine

@@ -15,6 +15,14 @@ namespace {
 /// long vocabulary tail.
 constexpr size_t kInitialPostingCapacity = 4;
 
+/// Score descending, then doc id ascending.
+struct ScoredDocOrder {
+  bool operator()(const ScoredDoc& a, const ScoredDoc& b) const {
+    if (a.score != b.score) return a.score > b.score;
+    return a.doc < b.doc;
+  }
+};
+
 }  // namespace
 
 InvertedIndex::InvertedIndex(TokenizerOptions options)
@@ -88,22 +96,12 @@ std::vector<ScoredDoc> InvertedIndex::Search(std::string_view query,
       acc[p.doc] += tf * idf;
     }
   }
-  TopK<DocId> top(k == 0 ? 1 : k);
-  if (k == 0) return {};
-  // TopK breaks score ties by insertion order, so offer in doc-id order:
-  // iterating the unordered accumulator directly would make tied-score
-  // results hash-order-dependent.
-  std::vector<std::pair<DocId, double>> by_doc(acc.begin(), acc.end());
-  std::sort(by_doc.begin(), by_doc.end());
-  for (const auto& [doc, raw] : by_doc) {
+  OrderedTopK<ScoredDoc, ScoredDocOrder> top(k);
+  for (const auto& [doc, raw] : acc) {  // the top-k is offer-order independent -- kwslint: allow(unordered-iteration)
     const double len = std::max<uint32_t>(DocLength(doc), 1);
-    top.Offer(raw / std::sqrt(len), doc);
+    top.Offer(ScoredDoc{doc, raw / std::sqrt(len)});
   }
-  std::vector<ScoredDoc> out;
-  for (auto& [score, doc] : top.TakeSorted()) {
-    out.push_back(ScoredDoc{doc, score});
-  }
-  return out;
+  return top.TakeSorted();
 }
 
 std::vector<ScoredDoc> InvertedIndex::SearchConjunctive(std::string_view query,
@@ -116,13 +114,9 @@ std::vector<ScoredDoc> InvertedIndex::SearchConjunctive(std::string_view query,
     spans.emplace_back(GetPostings(t));
   }
   const std::vector<DocId> docs = IntersectLists(spans);
-  TopK<DocId> top(k);
-  for (DocId d : docs) top.Offer(Score(d, terms), d);
-  std::vector<ScoredDoc> out;
-  for (auto& [score, doc] : top.TakeSorted()) {
-    out.push_back(ScoredDoc{doc, score});
-  }
-  return out;
+  OrderedTopK<ScoredDoc, ScoredDocOrder> top(k);
+  for (DocId d : docs) top.Offer(ScoredDoc{d, Score(d, terms)});
+  return top.TakeSorted();
 }
 
 std::vector<std::string> InvertedIndex::Vocabulary() const {

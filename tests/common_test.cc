@@ -1,11 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <cmath>
 #include <set>
 #include <string>
 #include <thread>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "common/deadline.h"
@@ -318,70 +321,16 @@ TEST(StringsTest, Trim) {
   EXPECT_EQ(Trim("   "), "");
 }
 
-TEST(TopKTest, KeepsBestK) {
-  TopK<int> top(3);
-  for (int i = 0; i < 10; ++i) top.Offer(i, i);
-  auto sorted = top.TakeSorted();
-  ASSERT_EQ(sorted.size(), 3u);
-  EXPECT_EQ(sorted[0].second, 9);
-  EXPECT_EQ(sorted[1].second, 8);
-  EXPECT_EQ(sorted[2].second, 7);
-}
-
-TEST(TopKTest, WouldRejectMatchesOfferBehaviour) {
-  TopK<int> top(2);
-  EXPECT_FALSE(top.WouldReject(0.0));  // not yet full
-  top.Offer(5, 1);
-  top.Offer(7, 2);
-  EXPECT_TRUE(top.WouldReject(4.0));
-  EXPECT_TRUE(top.WouldReject(5.0));   // ties rejected
-  EXPECT_FALSE(top.WouldReject(6.0));
-  EXPECT_TRUE(top.Offer(6.0, 3));
-  EXPECT_EQ(top.Threshold(), 6.0);
-}
-
-TEST(TopKTest, StableForEqualScores) {
-  TopK<char> top(2);
-  top.Offer(1.0, 'a');
-  top.Offer(1.0, 'b');
-  auto sorted = top.TakeSorted();
-  ASSERT_EQ(sorted.size(), 2u);
-  EXPECT_EQ(sorted[0].second, 'a');
-  EXPECT_EQ(sorted[1].second, 'b');
-}
-
-// Property sweep: for any k and any input size, TakeSorted returns the
-// lexicographically-best k scores in nonincreasing order.
-class TopKPropertyTest : public ::testing::TestWithParam<std::tuple<int, int>> {
-};
-
-TEST_P(TopKPropertyTest, MatchesSortReference) {
-  const int k = std::get<0>(GetParam());
-  const int n = std::get<1>(GetParam());
-  Rng rng(static_cast<uint64_t>(k * 1000 + n));
-  TopK<int> top(static_cast<size_t>(k));
-  std::vector<double> scores;
-  for (int i = 0; i < n; ++i) {
-    double s = static_cast<double>(rng.Uniform(50));
-    scores.push_back(s);
-    top.Offer(s, i);
-  }
-  std::sort(scores.rbegin(), scores.rend());
-  auto got = top.TakeSorted();
-  ASSERT_EQ(got.size(), std::min<size_t>(k, n));
-  for (size_t i = 0; i < got.size(); ++i) {
-    EXPECT_DOUBLE_EQ(got[i].first, scores[i]) << "at rank " << i;
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Sweep, TopKPropertyTest,
-    ::testing::Combine(::testing::Values(1, 2, 5, 16),
-                       ::testing::Values(0, 1, 10, 100, 1000)));
-
 struct IntOrder {
   bool operator()(int a, int b) const { return a > b; }
 };
+
+TEST(OrderedTopKTest, KeepsBestK) {
+  OrderedTopK<int, IntOrder> top(3);
+  for (int i = 0; i < 10; ++i) top.Offer(i);
+  EXPECT_EQ(top.TakeSorted(), (std::vector<int>{9, 8, 7}));
+  EXPECT_EQ(top.size(), 0u);  // TakeSorted empties the collector
+}
 
 TEST(OrderedTopKTest, RetainedSetIsOfferOrderIndependent) {
   const std::vector<int> forward = {5, 1, 9, 3, 9, 7, 1, 8};
@@ -394,13 +343,71 @@ TEST(OrderedTopKTest, RetainedSetIsOfferOrderIndependent) {
 
 TEST(OrderedTopKTest, WouldRejectIsExactlyOfferFailure) {
   OrderedTopK<int, IntOrder> top(3);
+  EXPECT_FALSE(top.WouldReject(0));  // not yet full
   for (int v : {10, 20, 30, 25}) top.Offer(v);
   // Retained: {30, 25, 20}; worst is 20.
   EXPECT_EQ(top.Worst(), 20);
   EXPECT_TRUE(top.WouldReject(20));  // equal does not rank above
   EXPECT_TRUE(top.WouldReject(5));
   EXPECT_FALSE(top.WouldReject(21));
+  EXPECT_FALSE(top.Offer(20));
+  EXPECT_TRUE(top.Offer(21));
+  EXPECT_EQ(top.Worst(), 21);
 }
+
+TEST(OrderedTopKTest, ZeroKRejectsEveryOfferAndProbe) {
+  OrderedTopK<int, IntOrder> top(0);
+  EXPECT_TRUE(top.Full());
+  EXPECT_TRUE(top.WouldReject(5));
+  EXPECT_FALSE(top.Offer(5));
+  EXPECT_FALSE(top.Offer(-5));
+  EXPECT_EQ(top.size(), 0u);
+  EXPECT_TRUE(top.TakeSorted().empty());
+}
+
+/// (score, id) under score descending, then id ascending.
+using ScoredId = std::pair<double, int>;
+struct ScoredIdOrder {
+  bool operator()(const ScoredId& a, const ScoredId& b) const {
+    if (a.first != b.first) return a.first > b.first;
+    return a.second < b.second;
+  }
+};
+
+TEST(OrderedTopKTest, EqualScoresBreakByKeyNotOfferOrder) {
+  OrderedTopK<ScoredId, ScoredIdOrder> top(2);
+  for (int id : {3, 1, 2}) top.Offer({1.0, id});
+  EXPECT_EQ(top.TakeSorted(),
+            (std::vector<ScoredId>{{1.0, 1}, {1.0, 2}}));
+}
+
+// Property sweep: for any k and any input size, TakeSorted returns the
+// first k items of the fully sorted input, whatever the offer order.
+class OrderedTopKPropertyTest
+    : public ::testing::TestWithParam<std::tuple<int, int>> {};
+
+TEST_P(OrderedTopKPropertyTest, MatchesSortReference) {
+  const int k = std::get<0>(GetParam());
+  const int n = std::get<1>(GetParam());
+  Rng rng(static_cast<uint64_t>(k * 1000 + n));
+  std::vector<ScoredId> items;
+  for (int i = 0; i < n; ++i) {
+    items.emplace_back(static_cast<double>(rng.Uniform(50)), i);
+  }
+  OrderedTopK<ScoredId, ScoredIdOrder> forward(static_cast<size_t>(k));
+  OrderedTopK<ScoredId, ScoredIdOrder> backward(static_cast<size_t>(k));
+  for (const ScoredId& item : items) forward.Offer(item);
+  for (auto it = items.rbegin(); it != items.rend(); ++it) backward.Offer(*it);
+  std::sort(items.begin(), items.end(), ScoredIdOrder());
+  items.resize(std::min<size_t>(k, n));
+  EXPECT_EQ(forward.TakeSorted(), items);
+  EXPECT_EQ(backward.TakeSorted(), items);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Sweep, OrderedTopKPropertyTest,
+    ::testing::Combine(::testing::Values(1, 2, 5, 16),
+                       ::testing::Values(0, 1, 10, 100, 1000)));
 
 TEST(ThreadPoolTest, RunOnAllCoversEveryWorkerIndexOnce) {
   ThreadPool pool(4);
