@@ -112,9 +112,8 @@ class KeywordSearchEngine {
                                     size_t limit = 8) const;
 
   /// The normalized form of `query` — tokenized and run through the
-  /// noisy-channel cleaner — as used for result-cache keys in
-  /// `kws::serve` (two queries with equal normalizations have equal
-  /// responses for equal options).
+  /// noisy-channel cleaner — i.e. the keywords a default `Search` runs
+  /// on (the form `kws::serve` registers standing queries with).
   std::vector<std::string> Normalize(const std::string& query) const;
 
   const graph::RelationalGraph& data_graph() const { return graph_; }

@@ -139,32 +139,20 @@ void ServingEngine::WorkerLoop() {
 }
 
 std::string ServingEngine::CacheKey(const QueryRequest& request) const {
-  std::vector<std::string> tokens;
+  // Every response field of every backend is a function of the default
+  // tokenizer's output (the relational cleaner starts from it too), so
+  // the key is one tokenization and never runs the cleaner.
   std::string key;
-  if (request.pipeline == Pipeline::kRelational) {
+  if (request.pipeline == Pipeline::kXml) {
+    key = "xml|";
+  } else {
     // Relational answers depend on the mutable database: the epoch tag
     // makes every pre-write entry unreachable after a NotifyWrite. XML
     // keys stay untagged — relational writes cannot change XML answers.
-    key = "e" + std::to_string(data_epoch()) + "|";
+    key = "e" + std::to_string(data_epoch()) +
+          (UseShardedBackend() ? "|shard|" : "|rel|");
   }
-  if (request.pipeline == Pipeline::kRelational && UseShardedBackend()) {
-    // Sharded normalization skips the cleaner, so the key space is
-    // tagged apart from the unsharded relational one.
-    tokens = sharded_->Normalize(request.query);
-    key += "shard|";
-  } else if (request.pipeline == Pipeline::kRelational &&
-             relational_ != nullptr) {
-    tokens = relational_->Normalize(request.query);
-    key += "rel|";
-  } else {
-    // The raw tokenizer normalizes differently from the engine's cleaner
-    // (no spell correction / stopword policy), so the relational
-    // fallback gets its own tag — sharing `rel|` would let the two key
-    // spaces collide on the same query text.
-    tokens = text::Tokenizer().Tokenize(request.query);
-    key += request.pipeline == Pipeline::kRelational ? "relraw|" : "xml|";
-  }
-  key += Join(tokens, " ");
+  key += Join(text::Tokenizer().Tokenize(request.query), " ");
   key += "|k=";
   key += std::to_string(request.k);
   return key;

@@ -138,9 +138,9 @@ struct SlowQueryEntry {
 
 /// The concurrent query-serving facade: a fixed worker pool pulling from a
 /// bounded submission queue, a sharded LRU result cache keyed by the
-/// normalized (tokenized + cleaned) query, per-query deadlines, and a
-/// telemetry registry holding one windowed instrument per serve event
-/// (each keeps its lifetime total beside its recent windows).
+/// tokenized query (hits never run the query cleaner), per-query
+/// deadlines, and a telemetry registry holding one windowed instrument per
+/// serve event (each keeps its lifetime total beside its recent windows).
 ///
 /// Both engines run read-only searches (`Search` is const and keeps no
 /// per-query state), which is what makes one engine instance safely
@@ -207,15 +207,13 @@ class ServingEngine {
   /// tasks), joins the pool. Idempotent.
   void Shutdown();
 
-  /// The cache key for `request`: pipeline tag, normalized query
-  /// (tokenized, and cleaned when the relational engine is targeted),
-  /// and k. Relational keys additionally carry the current data epoch
-  /// (`e<epoch>|...`) so a write makes every pre-write relational entry
-  /// unreachable; the raw-tokenizer fallback used when no relational
-  /// engine is configured is tagged `relraw|`, a key space distinct from
-  /// the engine-cleaned `rel|` one (the same query text can normalize
-  /// differently under the two, so they must never collide). Exposed for
-  /// tests.
+  /// The cache key for `request`: backend tag (`rel|`, `shard|` or
+  /// `xml|`), the query's default-tokenizer tokens, and k. Every response
+  /// field, `query_was_corrected` and `suggestions` included, is a
+  /// function of those tokens and k, so a typo the cleaner corrects gets
+  /// its own entry and no lookup runs the cleaner. Relational keys also
+  /// carry the current data epoch (`e<epoch>|...`) so a write makes every
+  /// pre-write relational entry unreachable. Exposed for tests.
   std::string CacheKey(const QueryRequest& request) const;
 
   /// Ingests one applied write batch (see the class doc for the full

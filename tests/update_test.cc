@@ -422,22 +422,24 @@ TEST(CacheBudgetTest, ResidentEntriesNeverExceedCapacity) {
 // ---------------------------------------------------------------------------
 // S3 + tentpole serve-layer invalidation.
 
-TEST(ServeWriteTest, RawFallbackKeySpaceIsTaggedApartFromRelational) {
-  DblpDatabase dblp = MakeDblpDatabase(SmallDblp(42));
-  const engine::KeywordSearchEngine engine(*dblp.db);
+TEST(ServeWriteTest, RelationalWithoutEngineFailsAndCachesNothing) {
   serve::ServeOptions so;
   so.num_workers = 0;
-  const serve::ServingEngine with_engine(&engine, nullptr, so);
-  const serve::ServingEngine without_engine(nullptr, nullptr, so);
+  serve::ServingEngine server(nullptr, nullptr, so);
 
   serve::QueryRequest req;
   req.query = "keyword search";
-  EXPECT_EQ(with_engine.CacheKey(req).rfind("e0|rel|", 0), 0u)
-      << with_engine.CacheKey(req);
-  // No relational engine: the raw-tokenizer fallback must not share the
-  // engine-normalized key space.
-  EXPECT_EQ(without_engine.CacheKey(req).rfind("e0|relraw|", 0), 0u)
-      << without_engine.CacheKey(req);
+  EXPECT_EQ(server.CacheKey(req).rfind("e0|rel|", 0), 0u)
+      << server.CacheKey(req);
+  for (int i = 0; i < 2; ++i) {
+    const serve::QueryOutcome out = server.Query(req);
+    EXPECT_EQ(out.status.code(), StatusCode::kFailedPrecondition);
+    EXPECT_FALSE(out.cache_hit);
+    EXPECT_EQ(out.relational, nullptr);
+  }
+  const serve::CacheStats stats = server.cache_stats();
+  EXPECT_EQ(stats.insertions, 0u);
+  EXPECT_EQ(stats.hits, 0u);
 }
 
 TEST(ServeWriteTest, TupleSetCacheDropsExactlyTouchedTerms) {
