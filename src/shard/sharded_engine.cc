@@ -97,13 +97,6 @@ ShardedEngine::ShardedEngine(const ShardedCorpus& corpus,
   }
 }
 
-std::vector<std::string> ShardedEngine::Normalize(
-    const std::string& query) const {
-  std::vector<std::string> keywords = text::Tokenizer().Tokenize(query);
-  if (keywords.size() > 16) keywords.resize(16);
-  return keywords;
-}
-
 size_t ShardedEngine::OwningShard(relational::TupleId global) const {
   size_t owner = 0;
   for (size_t s = 1; s < corpus_.num_shards(); ++s) {
@@ -127,7 +120,8 @@ ShardedResponse ShardedEngine::Search(
   stats.shard_results.assign(n, 0);
   stats.shard_cns_evaluated.assign(n, 0);
 
-  resp.keywords = Normalize(query);
+  resp.keywords = text::Tokenizer().Tokenize(query);
+  if (resp.keywords.size() > 16) resp.keywords.resize(16);
   const std::vector<std::string>& keywords = resp.keywords;
   if (keywords.empty()) return resp;
   const size_t nk = keywords.size();
