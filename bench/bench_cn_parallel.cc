@@ -4,8 +4,8 @@
 // Series:
 //   E21.1 modeled-IO scaling: DISCOVER-style deployments issue one SQL
 //         statement per CN, so each CN evaluation pays a backend
-//         round-trip (SearchOptions::simulated_cn_io_micros, the E19
-//         convention). Workers overlap those waits; latency and speedup
+//         round-trip (SearchOptions::simulated_cn_io_micros). Workers
+//         overlap those waits; latency and speedup
 //         at 1/2/4/8 threads for kNaive and kSparse.
 //   E21.2 pure-CPU scaling (simulated_cn_io_micros = 0) on the same
 //         workload — recorded honestly: on a single-core host there is

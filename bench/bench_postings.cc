@@ -13,7 +13,8 @@
 //   E20.4 TupleSets construction, cold vs warm term-frontier cache;
 //   E20.5 end-to-end ServingEngine p50/p95 on the DBLP workload with the
 //         tuple cache off/on (result cache disabled), plus the XML
-//         pipeline snapshot.
+//         pipeline snapshot; each row is a sequential Zipf replay through
+//         ServingEngine::Query (ReplayZipf).
 //
 // `--smoke` shrinks every series to a <5 s run (the ci.sh gate) and skips
 // the google-benchmark timers; absolute numbers are then meaningless but
@@ -381,24 +382,22 @@ void EndToEnd(const engine::KeywordSearchEngine& eng,
               const std::vector<std::string>& pool) {
   Banner("E20.5", "end-to-end ServingEngine: tuple cache off vs on");
   TablePrinter table({"pipeline", "tuple_cache", "qps", "p50_ms", "p95_ms"});
+  const size_t requests = g_smoke ? 60 : 300;
+  serve::QueryRequest base;
+  base.k = 5;
   for (size_t tuple_capacity : {size_t{0}, size_t{256}}) {
     serve::ServeOptions so;
-    so.num_workers = 2;
+    so.num_workers = 0;     // Query() executes inline; no pool needed
     so.cache_capacity = 0;  // isolate the tuple cache from the result cache
     so.tuple_cache_capacity = tuple_capacity;
     serve::ServingEngine server(&eng, nullptr, so);
-    serve::LoadGenOptions gen;
-    gen.num_clients = 2;
-    gen.requests_per_client = g_smoke ? 30 : 150;
-    gen.zipf_theta = 0.9;
-    gen.k = 5;
-    serve::LoadReport r = RunClosedLoop(server, pool, gen);
+    const ReplayReport r = ReplayZipf(server, pool, base, requests);
     table.Row({"relational", tuple_capacity == 0 ? "off" : "on", Fmt(r.qps),
-               Fmt(r.p50_micros / 1000.0), Fmt(r.p95_micros / 1000.0)});
+               Fmt(r.p50_ms), Fmt(r.p95_ms)});
   }
 
   // The XML pipeline rides the same kernels through SLCA/XSeek; one
-  // snapshot records its served latency on this container.
+  // snapshot records its served latency.
   xml::BibOptions bopts;
   bopts.num_venues = g_smoke ? 20 : 80;
   bopts.papers_per_venue = 10;
@@ -410,18 +409,12 @@ void EndToEnd(const engine::KeywordSearchEngine& eng,
     xml_pool.push_back(doc.vocabulary[0] + " " + doc.vocabulary[i]);
   }
   serve::ServeOptions so;
-  so.num_workers = 2;
+  so.num_workers = 0;
   so.cache_capacity = 0;
   serve::ServingEngine server(nullptr, &xml_eng, so);
-  serve::LoadGenOptions gen;
-  gen.num_clients = 2;
-  gen.requests_per_client = g_smoke ? 30 : 150;
-  gen.zipf_theta = 0.9;
-  gen.pipeline = serve::Pipeline::kXml;
-  gen.k = 5;
-  serve::LoadReport r = RunClosedLoop(server, xml_pool, gen);
-  table.Row({"xml", "n/a", Fmt(r.qps), Fmt(r.p50_micros / 1000.0),
-             Fmt(r.p95_micros / 1000.0)});
+  base.pipeline = serve::Pipeline::kXml;
+  const ReplayReport r = ReplayZipf(server, xml_pool, base, requests);
+  table.Row({"xml", "n/a", Fmt(r.qps), Fmt(r.p50_ms), Fmt(r.p95_ms)});
 }
 
 void RunExperiment() {

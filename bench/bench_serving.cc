@@ -1,17 +1,13 @@
-// E19: concurrent query serving (kws::serve).
+// E19: the query-serving layer (kws::serve).
 //
-// Three series over the DBLP corpus with a Zipf-replayed query log:
-//   1. closed-loop throughput vs worker count, cache-cold (every request
-//      pays the modeled backend round-trip);
-//   2. cache hit rate and served QPS vs cache capacity on a warm replay;
-//   3. outcome mix vs per-query budget (deadline enforcement end to end).
-//
-// This container pins the process to a single CPU core, so pure-CPU
-// scaling is impossible by construction; the workload therefore models
-// the production regime the subsystem targets — a backend storage/RDBMS
-// round-trip per cache miss (request.simulated_io_micros) — and the
-// worker pool's job is to overlap those waits. Thread scaling and the
-// cache's latency win are real under this model; see EXPERIMENTS.md.
+// Two series over the DBLP corpus, each a Zipf replay of a query log
+// through the synchronous ServingEngine::Query, one request at a time
+// (ReplayZipf in bench_util.h), so hit and outcome counts are exact for
+// the seed and latencies are the engine's own cost:
+//   E19.2 cache hit rate, served QPS and p50 vs result-cache capacity;
+//   E19.3 outcome mix vs per-query budget (deadline enforcement).
+// E19.1, throughput vs worker count under a modelled backend sleep, is
+// retired (see EXPERIMENTS.md); concurrent load is servebench's job.
 
 #include <algorithm>
 #include <cstdio>
@@ -44,8 +40,7 @@ Corpus MakeCorpus() {
   std::vector<std::string> pool = serve::QueryPool(
       relational::MakeQueryLog(*c.dblp.db, c.dblp.paper, lopts));
   // Keep the short (<= 2 keyword) queries: the interactive regime the
-  // serving layer targets, and cheap enough on this container's single
-  // core that the modeled backend wait dominates per-request cost.
+  // serving layer targets.
   for (std::string& q : pool) {
     if (std::count(q.begin(), q.end(), ' ') <= 1) {
       c.pool.push_back(std::move(q));
@@ -54,36 +49,7 @@ Corpus MakeCorpus() {
   return c;
 }
 
-constexpr uint64_t kBackendMicros = 30000;  // modeled miss round-trip
 constexpr size_t kTopK = 5;
-
-void ThroughputVsWorkers(const engine::KeywordSearchEngine& eng,
-                         const std::vector<std::string>& pool) {
-  Banner("E19.1", "closed-loop throughput vs workers (cache-cold)");
-  std::printf("modeled backend round-trip per miss: %llu us\n",
-              static_cast<unsigned long long>(kBackendMicros));
-  TablePrinter table({"workers", "clients", "qps", "p50_ms", "p99_ms",
-                      "speedup"});
-  double base_qps = 0;
-  for (size_t workers : {1, 2, 4, 8}) {
-    serve::ServeOptions so;
-    so.num_workers = workers;
-    so.queue_capacity = 64;
-    so.cache_capacity = 0;  // cold: every request executes
-    serve::ServingEngine server(&eng, nullptr, so);
-    serve::LoadGenOptions gen;
-    gen.num_clients = workers;
-    gen.requests_per_client = 240 / workers;  // fixed 240-request batch
-    gen.k = kTopK;
-    gen.simulated_io_micros = kBackendMicros;
-    serve::LoadReport r = RunClosedLoop(server, pool, gen);
-    if (workers == 1) base_qps = r.qps;
-    table.Row({Fmt(static_cast<uint64_t>(workers)),
-               Fmt(static_cast<uint64_t>(gen.num_clients)), Fmt(r.qps),
-               Fmt(r.p50_micros / 1000.0), Fmt(r.p99_micros / 1000.0),
-               Fmt(base_qps == 0 ? 0.0 : r.qps / base_qps)});
-  }
-}
 
 void HitRateVsCacheSize(const engine::KeywordSearchEngine& eng,
                         const std::vector<std::string>& pool) {
@@ -91,19 +57,14 @@ void HitRateVsCacheSize(const engine::KeywordSearchEngine& eng,
   TablePrinter table({"capacity", "hit_rate", "qps", "p50_ms", "evictions"});
   for (size_t capacity : {0, 8, 32, 128, 512}) {
     serve::ServeOptions so;
-    so.num_workers = 4;
+    so.num_workers = 0;  // Query() executes inline; no pool needed
     so.cache_capacity = capacity;
     serve::ServingEngine server(&eng, nullptr, so);
-    serve::LoadGenOptions gen;
-    gen.num_clients = 4;
-    gen.requests_per_client = 150;
-    gen.zipf_theta = 0.9;
-    gen.k = kTopK;
-    gen.simulated_io_micros = kBackendMicros;
-    serve::LoadReport r = RunClosedLoop(server, pool, gen);
-    table.Row({Fmt(static_cast<uint64_t>(capacity)), Fmt(r.CacheHitRate()),
-               Fmt(r.qps), Fmt(r.p50_micros / 1000.0),
-               Fmt(server.cache_stats().evictions)});
+    serve::QueryRequest base;
+    base.k = kTopK;
+    const ReplayReport r = ReplayZipf(server, pool, base, 600);
+    table.Row({Fmt(static_cast<uint64_t>(capacity)), Fmt(r.HitRate()),
+               Fmt(r.qps), Fmt(r.p50_ms), Fmt(server.cache_stats().evictions)});
   }
 }
 
@@ -114,26 +75,22 @@ void OutcomesVsBudget(const engine::KeywordSearchEngine& eng,
   for (uint64_t budget : {uint64_t{1}, uint64_t{200}, uint64_t{5000},
                           uint64_t{0}}) {
     serve::ServeOptions so;
-    so.num_workers = 2;
+    so.num_workers = 0;
     serve::ServingEngine server(&eng, nullptr, so);
-    serve::LoadGenOptions gen;
-    gen.num_clients = 2;
-    gen.requests_per_client = 100;
-    gen.k = kTopK;
-    gen.budget_micros = budget;
-    serve::LoadReport r = RunClosedLoop(server, pool, gen);
+    serve::QueryRequest base;
+    base.k = kTopK;
+    base.budget_micros = budget;
+    const ReplayReport r = ReplayZipf(server, pool, base, 200);
     table.Row({budget == 0 ? "unlimited" : Fmt(budget), Fmt(r.ok),
-               Fmt(r.deadline_exceeded), Fmt(r.CacheHitRate())});
+               Fmt(r.deadline_exceeded), Fmt(r.HitRate())});
   }
 }
 
 void RunExperiment() {
-  std::printf("E19: concurrent query serving (worker pool + result cache "
-              "+ deadlines)\n");
+  std::printf("E19: query serving (result cache + deadlines)\n");
   Corpus corpus = MakeCorpus();
   std::printf("query pool: %zu distinct queries\n", corpus.pool.size());
   engine::KeywordSearchEngine eng(*corpus.dblp.db);
-  ThroughputVsWorkers(eng, corpus.pool);
   HitRateVsCacheSize(eng, corpus.pool);
   OutcomesVsBudget(eng, corpus.pool);
 }

@@ -5,7 +5,7 @@
 //   E23.1 scatter-gather scaling: shard counts 1/2/4/8 with pruning ON,
 //         one scatter worker per shard, each shard paying modeled per-CN
 //         RDBMS round-trips (ShardedSearchOptions::simulated_cn_io_micros,
-//         the E19/E21 convention). Per shard count, latency and speedup
+//         forwarded to E21's per-CN knob). Per shard count, latency and speedup
 //         against the *unsharded* engine over the same combined corpus
 //         with the same modeled IO and no tuple caching on either side —
 //         the honest baseline, since each shard count merges a different

@@ -10,6 +10,12 @@
 
 #include <benchmark/benchmark.h>
 
+#include "common/metrics.h"
+#include "common/random.h"
+#include "common/status.h"
+#include "common/stopwatch.h"
+#include "serve/server.h"
+
 namespace kws::bench {
 
 /// Machine-readable export of the experiment tables. Enabled by a
@@ -191,6 +197,60 @@ inline std::string Fmt(int v) { return std::to_string(v); }
 inline void Banner(const char* id, const char* title) {
   std::printf("\n=== %s: %s ===\n", id, title);
   JsonExport::Instance().BeginExperiment(id, title);
+}
+
+/// Outcome counts and served latency of one `ReplayZipf` run.
+struct ReplayReport {
+  size_t requests = 0;
+  size_t ok = 0;
+  size_t deadline_exceeded = 0;
+  size_t cache_hits = 0;
+  double qps = 0;
+  double p50_ms = 0;
+  double p95_ms = 0;
+
+  double HitRate() const {
+    return requests == 0 ? 0.0
+                         : static_cast<double>(cache_hits) /
+                               static_cast<double>(requests);
+  }
+};
+
+/// Replays `requests` Zipf(0.9) draws over `pool` (rank 0 most popular,
+/// seed 42) through the synchronous `ServingEngine::Query`, one request at
+/// a time on the calling thread. `base` supplies every request field but
+/// the query. The draw sequence is fixed and no two misses overlap, so
+/// an unbudgeted replay's hit count is exact; qps, the latency quantiles
+/// and any outcome a budget decides are wall-clock readings.
+inline ReplayReport ReplayZipf(serve::ServingEngine& server,
+                               const std::vector<std::string>& pool,
+                               const serve::QueryRequest& base,
+                               size_t requests) {
+  ReplayReport report;
+  if (pool.empty()) return report;
+  const ZipfSampler zipf(pool.size(), 0.9);
+  Rng rng(42);
+  LatencyHistogram latencies;
+  serve::QueryRequest request = base;
+  Stopwatch wall;
+  for (size_t i = 0; i < requests; ++i) {
+    request.query = pool[zipf.Sample(rng)];
+    const serve::QueryOutcome outcome = server.Query(request);
+    ++report.requests;
+    if (outcome.cache_hit) ++report.cache_hits;
+    if (outcome.status.ok()) {
+      ++report.ok;
+    } else if (outcome.status.code() == StatusCode::kDeadlineExceeded) {
+      ++report.deadline_exceeded;
+    }
+    latencies.Record(outcome.latency_micros);
+  }
+  const double seconds = wall.ElapsedMillis() / 1000.0;
+  report.qps = seconds == 0 ? 0.0
+                            : static_cast<double>(report.requests) / seconds;
+  report.p50_ms = latencies.PercentileMicros(0.50) / 1000.0;
+  report.p95_ms = latencies.PercentileMicros(0.95) / 1000.0;
+  return report;
 }
 
 }  // namespace kws::bench

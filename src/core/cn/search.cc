@@ -225,8 +225,9 @@ struct Evaluation {
   /// every joined tree to the collector.
   ExecStats Execute(size_t w, size_t i, const Pins& fixed) {
     if (options.simulated_cn_io_micros > 0) {
-      std::this_thread::sleep_for(
-          std::chrono::microseconds(options.simulated_cn_io_micros));
+      const std::chrono::microseconds round_trip(
+          options.simulated_cn_io_micros);
+      std::this_thread::sleep_for(round_trip);  // the per-CN RDBMS round-trip E21.1/E23 model; serve never sets it -- kwslint: allow(sleep)
     }
     ExecStats es;
     const CandidateNetwork& cn = cns[i];

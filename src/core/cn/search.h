@@ -77,10 +77,10 @@ struct SearchOptions {
   size_t num_threads = 1;
   /// Models the per-CN backend round-trip a DISCOVER-style deployment
   /// pays against its RDBMS (one SQL statement per CN): each CN
-  /// evaluation sleeps this long before joining. E21 uses it to measure
-  /// worker-pool overlap on a single-core host, mirroring
-  /// `serve::QueryRequest::simulated_io_micros`. 0 (the default)
-  /// disables the simulation.
+  /// evaluation sleeps this long before joining. Its users are E21.1
+  /// (worker-pool overlap) and E23 (scatter overlap across shards); the
+  /// serving layer never sets it. 0 (the default) disables the
+  /// simulation.
   uint64_t simulated_cn_io_micros = 0;
   /// Optional per-query execution tracer (not owned; must outlive the
   /// search). When set, the search wraps each phase in spans

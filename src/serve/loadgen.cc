@@ -1,12 +1,7 @@
 #include "serve/loadgen.h"
 
-#include <mutex>
 #include <set>
-#include <thread>
 
-#include "common/metrics.h"
-#include "common/random.h"
-#include "common/stopwatch.h"
 #include "common/strings.h"
 
 namespace kws::serve {
@@ -20,87 +15,6 @@ std::vector<std::string> QueryPool(const relational::QueryLog& log) {
     if (seen.insert(text).second) pool.push_back(text);
   }
   return pool;
-}
-
-LoadReport RunClosedLoop(ServingEngine& server,
-                         const std::vector<std::string>& pool,
-                         const LoadGenOptions& options) {
-  LoadReport report;
-  if (pool.empty() || options.num_clients == 0) return report;
-  const ZipfSampler zipf(pool.size(), options.zipf_theta);
-  LatencyHistogram latencies;
-  std::mutex merge_mu;
-  Stopwatch wall;
-
-  auto client = [&](size_t client_index) {
-    // Per-client child RNG: the query schedule is a pure function of
-    // (seed, client_index), whatever the thread interleaving does.
-    Rng rng(SplitSeed(options.seed, client_index));
-    LoadReport local;
-    for (size_t i = 0; i < options.requests_per_client; ++i) {
-      QueryRequest request;
-      request.query = pool[zipf.Sample(rng)];
-      request.pipeline = options.pipeline;
-      request.k = options.k;
-      request.budget_micros = options.budget_micros;
-      request.bypass_cache = options.bypass_cache;
-      request.simulated_io_micros = options.simulated_io_micros;
-
-      std::future<QueryOutcome> fut;
-      for (;;) {
-        const Status admitted = server.Submit(request, &fut);
-        if (admitted.ok()) break;
-        if (admitted.code() == StatusCode::kResourceExhausted) {
-          ++local.rejections;  // back-pressure: retry after yielding
-          std::this_thread::yield();
-          continue;
-        }
-        break;  // server shut down: account below as failed
-      }
-      QueryOutcome outcome;
-      if (fut.valid()) {
-        outcome = fut.get();
-      } else {
-        outcome.status = Status::FailedPrecondition("submission failed");
-      }
-      ++local.requests;
-      if (outcome.cache_hit) ++local.cache_hits;
-      if (outcome.status.ok()) {
-        ++local.ok;
-      } else if (outcome.status.code() == StatusCode::kDeadlineExceeded) {
-        ++local.deadline_exceeded;
-      } else {
-        ++local.failed;
-      }
-      latencies.Record(outcome.latency_micros);
-    }
-    std::lock_guard<std::mutex> lock(merge_mu);
-    report.requests += local.requests;
-    report.ok += local.ok;
-    report.deadline_exceeded += local.deadline_exceeded;
-    report.failed += local.failed;
-    report.cache_hits += local.cache_hits;
-    report.rejections += local.rejections;
-  };
-
-  // Load-generator clients deliberately model independent outside
-  // callers, each on its own SplitSeed stream; they are not pool work.
-  std::vector<std::thread> clients;  // independent outside callers, not pool work -- kwslint: allow(raw-thread)
-  clients.reserve(options.num_clients);
-  for (size_t c = 0; c < options.num_clients; ++c) {
-    clients.emplace_back(client, c);
-  }
-  for (std::thread& t : clients) t.join();  // joins the client threads above -- kwslint: allow(raw-thread)
-
-  report.wall_millis = wall.ElapsedMillis();
-  report.qps = report.wall_millis == 0
-                   ? 0.0
-                   : static_cast<double>(report.requests) /
-                         (report.wall_millis / 1000.0);
-  report.p50_micros = latencies.PercentileMicros(0.50);
-  report.p95_micros = latencies.PercentileMicros(0.95);
-  report.p99_micros = latencies.PercentileMicros(0.99);
-  return report;
 }
 
 }  // namespace kws::serve

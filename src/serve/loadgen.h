@@ -1,72 +1,17 @@
 #ifndef KWDB_SERVE_LOADGEN_H_
 #define KWDB_SERVE_LOADGEN_H_
 
-#include <cstdint>
 #include <string>
 #include <vector>
 
 #include "relational/query_log.h"
-#include "serve/server.h"
 
 namespace kws::serve {
-
-/// Parameters of the closed-loop replay.
-struct LoadGenOptions {
-  /// Parent seed; client `i` draws from `Rng(SplitSeed(seed, i))`, so the
-  /// sequence of queries each client issues is independent of thread
-  /// scheduling.
-  uint64_t seed = 42;
-  /// Concurrent closed-loop clients (each waits for its outcome before
-  /// issuing the next request).
-  size_t num_clients = 4;
-  size_t requests_per_client = 100;
-  /// Zipf skew over the distinct pool queries (rank 0 most popular);
-  /// theta 0 replays uniformly.
-  double zipf_theta = 0.9;
-  /// Forwarded into each QueryRequest.
-  Pipeline pipeline = Pipeline::kRelational;
-  size_t k = 10;
-  uint64_t budget_micros = 0;
-  bool bypass_cache = false;
-  uint64_t simulated_io_micros = 0;
-};
-
-/// Aggregate outcome of one replay. Everything except wall-clock-derived
-/// numbers (qps, latency quantiles) is deterministic in (pool, options).
-struct LoadReport {
-  size_t requests = 0;
-  size_t ok = 0;
-  size_t deadline_exceeded = 0;
-  size_t failed = 0;
-  size_t cache_hits = 0;
-  /// Submit-level admission rejections (each is retried, so every request
-  /// eventually completes; this counts the back-pressure events).
-  size_t rejections = 0;
-  double wall_millis = 0;
-  double qps = 0;
-  double p50_micros = 0;
-  double p95_micros = 0;
-  double p99_micros = 0;
-
-  double CacheHitRate() const {
-    return requests == 0 ? 0.0
-                         : static_cast<double>(cache_hits) /
-                               static_cast<double>(requests);
-  }
-};
 
 /// The distinct replayable query strings of `log`, in log order (rank in
 /// this vector is the Zipf rank during replay): each logged query's
 /// keywords joined by spaces, deduplicated, empties dropped.
 std::vector<std::string> QueryPool(const relational::QueryLog& log);
-
-/// Replays `pool` through `server` with `options.num_clients` closed-loop
-/// client threads. Admission rejections are retried (after a yield) until
-/// the request is admitted, so the report accounts for every planned
-/// request exactly once.
-LoadReport RunClosedLoop(ServingEngine& server,
-                         const std::vector<std::string>& pool,
-                         const LoadGenOptions& options);
 
 }  // namespace kws::serve
 

@@ -1,6 +1,5 @@
 #include "serve/server.h"
 
-#include <chrono>
 #include <cstdio>
 #include <utility>
 
@@ -273,12 +272,6 @@ QueryOutcome ServingEngine::Execute(const QueryRequest& request,
     outcome.status =
         Status::DeadlineExceeded("budget exhausted before execution");
     return finish(deadline_exceeded_);
-  }
-  // The modeled backend fetch: in production the engines would read from
-  // storage / a remote RDBMS here; hits never reach this point.
-  if (request.simulated_io_micros > 0) {
-    std::this_thread::sleep_for(
-        std::chrono::microseconds(request.simulated_io_micros));
   }
 
   trace::TraceSpan exec_span(tp, "serve.execute");

@@ -46,11 +46,6 @@ struct QueryRequest {
   /// Skip the result cache entirely (no lookup, no fill) — used by
   /// benchmarks to measure the cache-cold path.
   bool bypass_cache = false;
-  /// Models the backend round-trip (storage / remote RDBMS) a cache miss
-  /// would pay in a production deployment: the worker sleeps this long
-  /// before running the engine. Cache hits skip it, which is the point
-  /// of the cache. 0 (the default) disables the simulation.
-  uint64_t simulated_io_micros = 0;
 };
 
 /// The server's answer. Responses are shared immutable objects (possibly

@@ -49,8 +49,9 @@ struct ShardedSearchOptions {
   /// for every value.
   size_t num_threads = 1;
   /// Models the per-CN RDBMS round-trip each shard would pay in a real
-  /// deployment (forwarded to `cn::SearchOptions::simulated_cn_io_micros`,
-  /// the E19/E21 convention); the scatter overlaps whole shards. 0 (the
+  /// deployment (forwarded to `cn::SearchOptions::simulated_cn_io_micros`);
+  /// the scatter overlaps whole shards. E23 sets it, E21.1 sets the
+  /// forwarded knob directly, and the serving layer never sets it. 0 (the
   /// default) disables the simulation.
   uint64_t simulated_cn_io_micros = 0;
   /// Optional per-query tracer (not owned). Produces a `shard.search`

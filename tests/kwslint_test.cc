@@ -100,6 +100,35 @@ TEST(KwslintRawThread, ThreadPoolImplementationIsExempt) {
             0u);
 }
 
+// --- sleep ----------------------------------------------------------------
+
+TEST(KwslintSleep, FlagsSleepForAndSleepUntil) {
+  const std::string bad =
+      "void F() {\n"
+      "  std::this_thread::sleep_for(std::chrono::milliseconds(60));\n"
+      "  std::this_thread::sleep_until(t);\n"
+      "}\n";
+  EXPECT_EQ(CountRule(Lint("src/serve/foo.cc", bad), "sleep"), 2u);
+}
+
+TEST(KwslintSleep, JustifiedAllowSilencesIt) {
+  const std::string allowed =
+      "  std::this_thread::sleep_for(d);  // models a backend round-trip "
+      "-- kwslint: allow(sleep)\n";
+  const std::vector<Diagnostic> diags = Lint("src/core/foo.cc", allowed);
+  EXPECT_EQ(CountRule(diags, "sleep"), 0u);
+  EXPECT_EQ(CountRule(diags, "allow-justification"), 0u);
+}
+
+TEST(KwslintSleep, AppliesToSrcTestsAndBenchesOnly) {
+  const std::string bad = "void F() { std::this_thread::sleep_for(d); }\n";
+  for (const char* path :
+       {"src/core/foo.cc", "tests/foo_test.cc", "bench/bench_foo.cc"}) {
+    EXPECT_EQ(CountRule(Lint(path, bad), "sleep"), 1u) << path;
+  }
+  EXPECT_EQ(CountRule(Lint("examples/demo.cc", bad), "sleep"), 0u);
+}
+
 // --- no-iostream ----------------------------------------------------------
 
 TEST(KwslintNoIostream, FlagsCoutCerrInSrcOnly) {
@@ -622,8 +651,9 @@ TEST(KwslintEngine, FormatIsFileLineRuleMessage) {
 
 TEST(KwslintEngine, RuleIdsAreStable) {
   const std::vector<std::string> ids = RuleIds();
-  EXPECT_EQ(ids.size(), 13u);
+  EXPECT_EQ(ids.size(), 14u);
   EXPECT_NE(std::find(ids.begin(), ids.end(), "doc-comment"), ids.end());
+  EXPECT_NE(std::find(ids.begin(), ids.end(), "sleep"), ids.end());
   EXPECT_NE(std::find(ids.begin(), ids.end(), "metric-name"), ids.end());
   for (const char* id : {"status-discard", "unordered-iteration",
                          "deadline-loop", "allow-justification",

@@ -2,9 +2,12 @@
 
 #include <atomic>
 #include <cctype>
+#include <condition_variable>
 #include <future>
 #include <memory>
+#include <mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/deadline.h"
@@ -13,6 +16,7 @@
 #include "core/cn/tuple_sets.h"
 #include "core/engine/engine.h"
 #include "core/engine/xml_engine.h"
+#include "obs/clock.h"
 #include "relational/dblp.h"
 #include "relational/query_log.h"
 #include "serve/cache.h"
@@ -207,32 +211,71 @@ TEST_F(ServeTest, ServerEnforcesTinyBudget) {
   EXPECT_FALSE(again.cache_hit);
 }
 
+/// A clock that holds every read from a thread other than the one that
+/// built it until `Open()`. A server built on it parks its worker at the
+/// first clock read after a dequeue (`queue_wait_` in WorkerLoop), so a
+/// test decides when the worker may go on, with no real-time sleep.
+class GateClock : public obs::Clock {
+ public:
+  uint64_t NowMicros() const override {
+    if (std::this_thread::get_id() == owner_) return 0;
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [this] { return open_; });
+    return 0;
+  }
+
+  /// Lets every held and later read through.
+  void Open() {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      open_ = true;
+    }
+    cv_.notify_all();
+  }
+
+ private:
+  const std::thread::id owner_ = std::this_thread::get_id();  // names the test thread, starts none -- kwslint: allow(raw-thread)
+  mutable std::mutex mu_;
+  mutable std::condition_variable cv_;
+  bool open_ = false;
+};
+
 TEST_F(ServeTest, BudgetExpiredWhileQueuedDropsBeforeBackendWork) {
-  // One worker, pinned down by a long modeled-IO request: the second
-  // request starves in the queue past its budget. Its deadline is
-  // anchored at Submit, so the worker must drop it at dequeue with
-  // kDeadlineExceeded — before any backend work (null response) — rather
-  // than granting it a fresh budget when it finally runs.
+  // One worker, held at the gate on a blocker request: the second request
+  // starves in the queue past its budget. Its deadline is anchored at
+  // Submit, so the worker must drop it at dequeue with kDeadlineExceeded
+  // — before any backend work (null response) — rather than granting it
+  // a fresh budget when it finally runs.
+  GateClock gate;
   ServeOptions so;
   so.num_workers = 1;
+  so.clock = &gate;
   ServingEngine server(engine_, xml_engine_, so);
-  QueryRequest blocker;
+  QueryRequest blocker;  // cheap: only its place in the queue matters
   blocker.query = "keyword search";
+  blocker.pipeline = Pipeline::kXml;
   blocker.bypass_cache = true;
-  blocker.simulated_io_micros = 60'000;
   QueryRequest starved;
   starved.query = "database query";
   starved.bypass_cache = true;
   starved.budget_micros = 5'000;
   std::future<QueryOutcome> f1, f2;
-  ASSERT_TRUE(server.Submit(blocker, &f1).ok());
-  ASSERT_TRUE(server.Submit(starved, &f2).ok());
+  const Status s1 = server.Submit(blocker, &f1);
+  const Status s2 = server.Submit(starved, &f2);
+  // Open the gate once a 5 ms budget anchored after the starved Submit
+  // has run out, so the starved request's own budget has too. The worker
+  // dequeues it only after that.
+  const Deadline later = Deadline::AfterMicros(5'000);
+  while (!later.Expired()) std::this_thread::yield();
+  gate.Open();
+  ASSERT_TRUE(s1.ok());
+  ASSERT_TRUE(s2.ok());
   EXPECT_TRUE(f1.get().status.ok());
   QueryOutcome out = f2.get();
   EXPECT_EQ(out.status.code(), StatusCode::kDeadlineExceeded);
   // Dropped at dispatch, not truncated mid-search: no partial response.
   EXPECT_EQ(out.relational, nullptr);
-  EXPECT_GE(
+  EXPECT_EQ(
       server.telemetry().GetWindowedCounter("serve.deadline_exceeded")->total(),
       1u);
 }
@@ -559,7 +602,7 @@ TEST_F(ServeTest, XmlServingMatchesDirectSearch) {
 }
 
 // ---------------------------------------------------------------------------
-// Load generator.
+// Query pool.
 
 TEST_F(ServeTest, QueryPoolDeduplicatesInLogOrder) {
   relational::QueryLog log;
@@ -568,58 +611,6 @@ TEST_F(ServeTest, QueryPoolDeduplicatesInLogOrder) {
   log.push_back({{"c"}, {}, 1});
   log.push_back({{"a", "b"}, {}, 3});  // duplicate: dropped
   EXPECT_EQ(QueryPool(log), (std::vector<std::string>{"a b", "c"}));
-}
-
-TEST_F(ServeTest, ClosedLoopAccountsEveryRequest) {
-  ServeOptions so;
-  so.num_workers = 2;
-  so.queue_capacity = 4;
-  ServingEngine server(engine_, xml_engine_, so);
-  relational::QueryLogOptions lopts;
-  lopts.num_queries = 30;
-  const std::vector<std::string> pool =
-      QueryPool(MakeQueryLog(*dblp_->db, dblp_->paper, lopts));
-  ASSERT_FALSE(pool.empty());
-
-  LoadGenOptions gen;
-  gen.num_clients = 3;
-  gen.requests_per_client = 10;
-  LoadReport report = RunClosedLoop(server, pool, gen);
-  EXPECT_EQ(report.requests, 30u);
-  EXPECT_EQ(report.ok + report.deadline_exceeded + report.failed, 30u);
-  EXPECT_EQ(report.failed, 0u);
-  EXPECT_EQ(report.ok, 30u);
-  EXPECT_EQ(server.telemetry().GetWindowedCounter("serve.completed")->total(),
-            30u);
-  EXPECT_GT(report.qps, 0.0);
-}
-
-TEST_F(ServeTest, ClosedLoopScheduleIsSeedDeterministic) {
-  relational::QueryLogOptions lopts;
-  lopts.num_queries = 30;
-  const std::vector<std::string> pool =
-      QueryPool(MakeQueryLog(*dblp_->db, dblp_->paper, lopts));
-  ASSERT_FALSE(pool.empty());
-
-  // The per-client query schedule is a pure function of (seed, client), so
-  // two single-threaded replays against fresh servers produce identical
-  // hit counts regardless of wall-clock timing.
-  auto replay = [&]() {
-    ServeOptions so;
-    so.num_workers = 1;
-    ServingEngine server(engine_, xml_engine_, so);
-    LoadGenOptions gen;
-    gen.num_clients = 1;
-    gen.requests_per_client = 40;
-    gen.seed = 99;
-    return RunClosedLoop(server, pool, gen);
-  };
-  LoadReport a = replay();
-  LoadReport b = replay();
-  EXPECT_EQ(a.requests, b.requests);
-  EXPECT_EQ(a.ok, b.ok);
-  EXPECT_EQ(a.cache_hits, b.cache_hits);
-  EXPECT_GT(a.cache_hits, 0u);  // Zipf replay repeats popular queries
 }
 
 // ---------------------------------------------------------------------------

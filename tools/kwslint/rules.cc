@@ -104,6 +104,23 @@ void CheckRawThread(const SourceFile& f, std::vector<Diagnostic>* out) {
   }
 }
 
+// --- sleep ----------------------------------------------------------------
+
+void CheckSleep(const SourceFile& f, std::vector<Diagnostic>* out) {
+  const std::string dir = f.TopDir();
+  if (dir != "src" && dir != "tests" && dir != "bench") return;
+  for (const Token& tok : f.tokens()) {
+    const std::string& t = tok.text;
+    if (t == "sleep_for" || t == "sleep_until") {
+      Emit(f, tok.line, "sleep",
+           "std::this_thread::" + t + " is a fixed wait on real time (a "
+           "slow, flaky test or a model in the request path); wait on a "
+           "latch or an injected clock instead",
+           out);
+    }
+  }
+}
+
 // --- no-iostream ----------------------------------------------------------
 
 void CheckNoIostream(const SourceFile& f, std::vector<Diagnostic>* out) {
@@ -981,13 +998,13 @@ void CheckIncludeCycles(const std::vector<SourceFile>& files,
 }
 
 std::vector<std::string> RuleIds() {
-  return {"raw-random",     "no-throw",
-          "raw-thread",     "no-iostream",
-          "doc-comment",    "header-guard",
-          "mutex-style",    "metric-name",
-          "status-discard", "unordered-iteration",
-          "deadline-loop",  "allow-justification",
-          "include-cycle"};
+  return {"raw-random",          "no-throw",
+          "raw-thread",          "sleep",
+          "no-iostream",         "doc-comment",
+          "header-guard",        "mutex-style",
+          "metric-name",         "status-discard",
+          "unordered-iteration", "deadline-loop",
+          "allow-justification", "include-cycle"};
 }
 
 std::vector<Diagnostic> RunRules(const SourceFile& file,
@@ -996,6 +1013,7 @@ std::vector<Diagnostic> RunRules(const SourceFile& file,
   CheckRawRandom(file, &out);
   CheckNoThrow(file, &out);
   CheckRawThread(file, &out);
+  CheckSleep(file, &out);
   CheckNoIostream(file, &out);
   CheckDocComment(file, &out);
   CheckHeaderGuard(file, &out);

@@ -24,6 +24,8 @@ struct Diagnostic {
 ///   raw-random   — nondeterministic seed/generator outside kws::Rng
 ///   no-throw     — `throw` on a src/ library path (use kws::Status)
 ///   raw-thread   — std::thread/std::async/detach outside ThreadPool
+///   sleep        — std::this_thread::sleep_for/sleep_until in src/,
+///                  tests/ or bench/ (a fixed wait on real time)
 ///   no-iostream  — std::cout/std::cerr in src/ (return Status instead)
 ///   doc-comment  — undocumented public declaration in a src/ header
 ///   header-guard — wrong include-guard name, #pragma once, bad filename
