@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "core/engine/engine.h"
 #include "relational/dblp.h"
@@ -87,7 +90,10 @@ TEST_F(EngineTest, EmptyAndGarbageQueries) {
 // ------------------------------------------------------- XML facade tests
 
 #include "core/engine/xml_engine.h"
+#include "core/lca/xrank.h"
 #include "xml/bibgen.h"
+#include "xml/stats.h"
+#include "xml_reference.h"
 
 namespace kws::engine {
 namespace {
@@ -142,6 +148,69 @@ TEST_F(XmlEngineTest, EmptyAndUnmatchedQueries) {
   EXPECT_TRUE(engine_->Search("").results.empty());
   EXPECT_TRUE(engine_->Search("zzznope").results.empty());
 }
+
+/// The bibliography with tag names added to some texts, so tag-name
+/// keywords match text and reach XSeek's explicit return nodes.
+xml::XmlTree TaggedBibliography(size_t venues, size_t papers) {
+  xml::XmlTree tree = xml::MakeBibDocument({.seed = 42, .num_venues = venues,
+                                       .papers_per_venue = papers})
+                     .tree;
+  const char* const kTags[] = {"title", "author", "paper", "name"};
+  for (xml::XmlNodeId n = 0; n < tree.size(); ++n) {
+    if (!tree.text(n).empty() && n % 7 == 0) {
+      tree.AppendText(n, kTags[(n / 7) % std::size(kTags)]);
+    }
+  }
+  tree.BuildKeywordIndex();
+  return tree;
+}
+
+/// (num_venues, papers_per_venue) of the bibliography under test.
+class XmlEngineOracleTest
+    : public ::testing::TestWithParam<std::pair<size_t, size_t>> {};
+
+TEST_P(XmlEngineOracleTest, EveryFieldMatchesReferencePipeline) {
+  const auto [venues, papers] = GetParam();
+  const xml::XmlTree tree = TaggedBibliography(venues, papers);
+  const XmlKeywordSearch engine(tree);
+  const xml::PathStatistics stats = xml::ComputePathStatistics(tree);
+  const std::vector<double> elem_rank = lca::ElemRank(tree);
+  // Pairs of the 16 most frequent terms, every term with a tag name, and
+  // a few singles and misses.
+  const std::vector<std::string> terms = relational::MakeVocabulary(16);
+  std::vector<std::string> queries = {"", "zzznope", "title", "paper author",
+                                      terms[0], terms[0] + " zzznope"};
+  for (size_t i = 0; i < terms.size(); ++i) {
+    for (size_t j = i + 1; j < terms.size(); ++j) {
+      queries.push_back(terms[i] + " " + terms[j]);
+    }
+    for (const char* tag : {"title", "author", "paper", "name"}) {
+      queries.push_back(terms[i] + " " + tag);
+    }
+  }
+  size_t answered = 0;
+  for (const XmlSemantics semantics :
+       {XmlSemantics::kSlca, XmlSemantics::kElca}) {
+    for (const size_t k : {size_t{1}, size_t{10}}) {
+      XmlEngineOptions options;
+      options.semantics = semantics;
+      options.k = k;
+      for (const std::string& q : queries) {
+        const XmlResponse got = engine.Search(q, options);
+        xmlref::ExpectSameResponse(
+            got, xmlref::Search(tree, stats, elem_rank, q, options),
+            "query '" + q + "' k " + std::to_string(k));
+        answered += !got.results.empty();
+      }
+    }
+  }
+  EXPECT_GT(answered, queries.size());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    BibSizes, XmlEngineOracleTest,
+    ::testing::Values(std::make_pair(size_t{10}, size_t{5}),
+                      std::make_pair(size_t{80}, size_t{10})));
 
 }  // namespace
 }  // namespace kws::engine
