@@ -74,7 +74,7 @@ int main(int argc, char** argv) {
 
   // Clustering: by root context (XBridge) and by keyword role.
   std::printf("\nclusters by context (XBridge):\n");
-  for (const auto& c : kws::analyze::ClusterByContext(tree, slca, query)) {
+  for (const auto& c : kws::analyze::ClusterByContext(tree, stats, slca, query)) {
     std::printf("  [%.2f] %-28s %zu results\n", c.score, c.label.c_str(),
                 c.results.size());
   }

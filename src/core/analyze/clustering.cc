@@ -2,8 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <map>
 #include <set>
+#include <utility>
+
+#include "common/check.h"
+#include "text/postings.h"
 
 namespace kws::analyze {
 
@@ -18,24 +23,16 @@ double XBridgeResultScore(const XmlTree& tree, XmlNodeId root,
   // Nodes on root->match paths; shared segments counted once (slide 160).
   std::set<XmlNodeId> path_nodes;
   for (const std::string& k : keywords) {
-    const std::vector<XmlNodeId>& matches = tree.MatchNodes(k);
+    const text::PostingSpan matches{tree.MatchNodes(k)};
     // ief = N / #nodes containing the token (slide 158).
     const double ief =
-        static_cast<double>(tree.size()) /
-        std::max<size_t>(matches.size(), 1);
-    XmlNodeId chosen = xml::kNoXmlNode;
-    for (XmlNodeId m : matches) {
-      if (m >= root && m <= end) {
-        chosen = m;
-        break;
-      }
-    }
-    if (chosen == xml::kNoXmlNode) continue;
+        static_cast<double>(tree.size()) / std::max<size_t>(matches.size, 1);
+    // The first match inside the subtree: one seek to the root.
+    const size_t i = text::SeekGE(matches, 0, root);
+    if (i == matches.size || matches[i] > end) continue;
     content += std::log(ief);
-    XmlNodeId cur = chosen;
-    while (cur != root) {
+    for (XmlNodeId cur = matches[i]; cur != root; cur = tree.parent(cur)) {
       path_nodes.insert(cur);
-      cur = tree.parent(cur);
     }
   }
   // Structural proximity with the long-path discount (slide 159):
@@ -45,38 +42,48 @@ double XBridgeResultScore(const XmlTree& tree, XmlNodeId root,
   return content - dist;
 }
 
-std::vector<ResultCluster> ClusterByContext(
-    const XmlTree& tree, const std::vector<XmlNodeId>& results,
-    const std::vector<std::string>& keywords) {
-  // Average depth for the proximity discount.
-  double avg_depth = 0;
-  for (XmlNodeId n = 0; n < tree.size(); ++n) avg_depth += tree.depth(n);
-  avg_depth /= std::max<size_t>(tree.size(), 1);
+namespace {
 
-  std::map<std::string, ResultCluster> by_path;
-  std::map<std::string, std::vector<double>> scores;
-  for (XmlNodeId r : results) {
-    const std::string path = tree.LabelPath(r);
-    ResultCluster& c = by_path[path];
-    c.label = path;
-    c.results.push_back(r);
-    scores[path].push_back(XBridgeResultScore(tree, r, keywords, avg_depth));
+/// ClusterByContext over any interning of the results' label paths:
+/// `path_of(r)` returns r's path id. Each cluster's label is built once.
+template <typename PathOf>
+std::vector<ResultCluster> GroupByContext(
+    const XmlTree& tree, const std::vector<XmlNodeId>& results,
+    const std::vector<std::string>& keywords, double avg_depth,
+    PathOf path_of) {
+  // (path id, position) pairs: sorting groups each path's results
+  // contiguously and keeps them in input order.
+  std::vector<std::pair<uint32_t, size_t>> order;
+  order.reserve(results.size());
+  for (size_t i = 0; i < results.size(); ++i) {
+    order.emplace_back(path_of(results[i]), i);
+  }
+  std::sort(order.begin(), order.end());
+  std::vector<ResultCluster> out;
+  std::vector<std::vector<double>> scores;
+  for (size_t i = 0; i < order.size(); ++i) {
+    if (i == 0 || order[i].first != order[i - 1].first) {
+      out.emplace_back();
+      scores.emplace_back();
+    }
+    const XmlNodeId r = results[order[i].second];
+    out.back().results.push_back(r);
+    scores.back().push_back(XBridgeResultScore(tree, r, keywords, avg_depth));
   }
   // Cluster score: top-R results, R = min(avg cluster size, |cluster|).
   const double avg_size =
-      by_path.empty()
-          ? 0
-          : static_cast<double>(results.size()) /
-                static_cast<double>(by_path.size());
-  std::vector<ResultCluster> out;
-  for (auto& [path, cluster] : by_path) {
-    std::vector<double>& s = scores[path];
+      out.empty() ? 0
+                  : static_cast<double>(results.size()) /
+                        static_cast<double>(out.size());
+  for (size_t c = 0; c < out.size(); ++c) {
+    ResultCluster& cluster = out[c];
+    std::vector<double>& s = scores[c];
     std::sort(s.rbegin(), s.rend());
     const size_t r = std::min<size_t>(
         s.size(), static_cast<size_t>(std::max(avg_size, 1.0)));
     cluster.score = 0;
     for (size_t i = 0; i < r; ++i) cluster.score += s[i];
-    out.push_back(std::move(cluster));
+    cluster.label = tree.LabelPath(cluster.results.front());
   }
   std::sort(out.begin(), out.end(),
             [](const ResultCluster& a, const ResultCluster& b) {
@@ -84,6 +91,35 @@ std::vector<ResultCluster> ClusterByContext(
               return a.label < b.label;
             });
   return out;
+}
+
+}  // namespace
+
+std::vector<ResultCluster> ClusterByContext(
+    const XmlTree& tree, const xml::PathStatistics& stats,
+    const std::vector<XmlNodeId>& results,
+    const std::vector<std::string>& keywords) {
+  KWS_CHECK_MSG(stats.path_id.size() == tree.size(),
+                "PathStatistics were computed for a different tree");
+  return GroupByContext(tree, results, keywords, stats.avg_depth,
+                        [&](XmlNodeId r) { return stats.path_id[r]; });
+}
+
+std::vector<ResultCluster> ClusterByContext(
+    const XmlTree& tree, const std::vector<XmlNodeId>& results,
+    const std::vector<std::string>& keywords) {
+  // The same average depth ComputePathStatistics derives, by a walk.
+  double depth_sum = 0;
+  for (XmlNodeId n = 0; n < tree.size(); ++n) depth_sum += tree.depth(n);
+  const double avg_depth =
+      tree.size() == 0 ? 0 : depth_sum / static_cast<double>(tree.size());
+  // Label paths interned per call, in first-seen order.
+  std::map<std::string, uint32_t> path_ids;
+  return GroupByContext(tree, results, keywords, avg_depth, [&](XmlNodeId r) {
+    return path_ids
+        .try_emplace(tree.LabelPath(r), static_cast<uint32_t>(path_ids.size()))
+        .first->second;
+  });
 }
 
 std::vector<ResultCluster> ClusterByKeywordRoles(

@@ -4,6 +4,7 @@
 #include <string>
 #include <vector>
 
+#include "xml/stats.h"
 #include "xml/tree.h"
 
 namespace kws::analyze {
@@ -25,7 +26,20 @@ struct ResultCluster {
 /// by bulk. Individual results score by content (tf * inverse element
 /// frequency) and structural proximity (root-to-keyword path lengths,
 /// discounted beyond the average document depth, with shared path
-/// segments counted once). Clusters returned best-first.
+/// segments counted once). Clusters returned best-first: score
+/// descending, then label ascending. `stats` must be
+/// `ComputePathStatistics(tree)`: results group by its per-node path ids,
+/// the discount uses its `avg_depth`, and each cluster's label path is
+/// built once (another tree's size aborts).
+std::vector<ResultCluster> ClusterByContext(
+    const xml::XmlTree& tree, const xml::PathStatistics& stats,
+    const std::vector<xml::XmlNodeId>& results,
+    const std::vector<std::string>& keywords);
+
+/// The same clusters for a caller that holds no PathStatistics: the
+/// average depth comes from a walk over every node and the results'
+/// label paths are built and interned per call, so it costs the tree's
+/// size on every call.
 std::vector<ResultCluster> ClusterByContext(
     const xml::XmlTree& tree, const std::vector<xml::XmlNodeId>& results,
     const std::vector<std::string>& keywords);
@@ -40,7 +54,9 @@ std::vector<ResultCluster> ClusterByKeywordRoles(
     const std::vector<std::string>& keywords);
 
 /// Individual result score used by ClusterByContext (exposed for tests):
-/// content weight minus the discounted structural distance.
+/// content weight minus the discounted structural distance. Each
+/// keyword's match inside the subtree is found by one seek into its
+/// sorted match list.
 double XBridgeResultScore(const xml::XmlTree& tree, xml::XmlNodeId root,
                           const std::vector<std::string>& keywords,
                           double avg_depth);

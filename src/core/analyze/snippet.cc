@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <set>
 
 #include "common/check.h"
+#include "text/postings.h"
 
 namespace kws::analyze {
 
@@ -16,74 +16,50 @@ std::vector<SnippetItem> GenerateSnippet(const XmlTree& tree,
                                          XmlNodeId result_root,
                                          const std::vector<std::string>& keywords,
                                          const SnippetOptions& options) {
-  KWS_CHECK_MSG(stats.feature_begin.size() == tree.size() + 1,
+  KWS_CHECK_MSG(stats.dominant_begin.size() == tree.size() + 1,
                 "PathStatistics were computed for a different tree, or the "
                 "tree grew after ComputePathStatistics");
   std::vector<SnippetItem> items;
-  std::set<XmlNodeId> chosen;
   const XmlNodeId end = tree.SubtreeEnd(result_root);
 
+  // The chosen nodes are the items' nodes; a snippet is a handful of them.
   auto add = [&](XmlNodeId n, SnippetItem::Reason reason) {
-    if (items.size() >= options.max_items) return false;
-    if (!chosen.insert(n).second) return true;
+    if (items.size() >= options.max_items) return;
+    for (const SnippetItem& item : items) {
+      if (item.node == n) return;
+    }
     items.push_back(SnippetItem{n, reason});
-    return true;
   };
 
   // 1. Key of the result: the first non-repeatable text child ("name",
   //    "title", ...) identifies the result — self-containment.
   for (XmlNodeId c : tree.children(result_root)) {
-    auto it = stats.path_repeatable.find(tree.LabelPath(c));
-    const bool repeatable = it != stats.path_repeatable.end() && it->second;
-    if (!repeatable && !tree.text(c).empty()) {
+    if (!stats.node_repeatable[c] && !tree.text(c).empty()) {
       add(c, SnippetItem::Reason::kKey);
       break;
     }
   }
-  // 2. One match node per query keyword — query bias.
+  // 2. One match node per query keyword — query bias: the first match at
+  //    or after the root, if it lies inside the subtree.
   for (const std::string& k : keywords) {
-    for (XmlNodeId m : tree.MatchNodes(k)) {
-      if (m >= result_root && m <= end) {
-        add(m, SnippetItem::Reason::kKeyword);
-        break;
-      }
+    const text::PostingSpan matches{tree.MatchNodes(k)};
+    const size_t i = text::SeekGE(matches, 0, result_root);
+    if (i < matches.size && matches[i] <= end) {
+      add(matches[i], SnippetItem::Reason::kKeyword);
     }
   }
   // 3. Dominant features: the most frequent (tag, term) pairs among the
-  //    result's descendants — informativeness. Preorder ids make the
-  //    subtree's entries one slice of the precomputed feature table;
-  //    ranking is (count desc, id asc), and id order is (tag, term) order.
-  std::vector<uint32_t> count(stats.num_features, 0);
-  std::vector<XmlNodeId> first(stats.num_features);
-  std::vector<uint32_t> touched;
-  for (XmlNodeId n = result_root; n <= end; ++n) {
-    for (uint32_t p = stats.feature_begin[n]; p < stats.feature_begin[n + 1];
-         ++p) {
-      const uint32_t f = stats.features[p];
-      if (count[f]++ == 0) {
-        first[f] = n;
-        touched.push_back(f);
-      }
-    }
-  }
-  std::erase_if(touched, [&](uint32_t f) {
-    return count[f] < 2;  // dominant means repeated
-  });
-  std::sort(touched.begin(), touched.end(), [&](uint32_t a, uint32_t b) {
-    if (count[a] != count[b]) return count[a] > count[b];
-    return a < b;
-  });
-  for (uint32_t f : touched) {
+  //    result's descendants — informativeness. Ranked once per subtree by
+  //    ComputePathStatistics (count desc, then (tag, term) order).
+  for (uint32_t p = stats.dominant_begin[result_root];
+       p < stats.dominant_begin[result_root + 1]; ++p) {
     if (items.size() >= options.max_items) break;
-    add(first[f], SnippetItem::Reason::kDominantFeature);
+    add(stats.dominant[p], SnippetItem::Reason::kDominantFeature);
   }
   // 4. Pad with entity children if there is room.
   for (XmlNodeId c : tree.children(result_root)) {
     if (items.size() >= options.max_items) break;
-    auto it = stats.path_repeatable.find(tree.LabelPath(c));
-    if (it != stats.path_repeatable.end() && it->second) {
-      add(c, SnippetItem::Reason::kEntity);
-    }
+    if (stats.node_repeatable[c]) add(c, SnippetItem::Reason::kEntity);
   }
   std::sort(items.begin(), items.end(),
             [](const SnippetItem& a, const SnippetItem& b) {

@@ -27,9 +27,11 @@ struct SnippetOptions {
 /// al., SIGMOD 08; tutorial slide 148). The snippet is self-contained
 /// (includes the result's identifying key), informative (keyword matches
 /// and dominant features) and concise (bounded size). Items are returned
-/// in document order. `stats` must be `ComputePathStatistics(tree)`; the
-/// dominant features are counted from its feature table, and a table of
-/// another size aborts (KWS_CHECK).
+/// in document order. `stats` must be `ComputePathStatistics(tree)`: the
+/// key and entity steps read its per-node repeatability, the dominant
+/// features are its ranked list for `result_root`, and statistics of a
+/// tree of another size abort (KWS_CHECK). The cost is set by the items
+/// and the keywords' match lists, not by the subtree's size.
 std::vector<SnippetItem> GenerateSnippet(
     const xml::XmlTree& tree, const xml::PathStatistics& stats,
     xml::XmlNodeId result_root, const std::vector<std::string>& keywords,

@@ -79,7 +79,7 @@ XmlResponse XmlKeywordSearch::Search(const std::string& query,
   if (options.cluster) {
     if (deadline.Expired()) return expired();
     trace::TraceSpan cluster_span(tracer, "xml.cluster");
-    response.clusters = analyze::ClusterByContext(tree_, anchors, keywords);
+    response.clusters = analyze::ClusterByContext(tree_, stats_, anchors, keywords);
     cluster_span.AddCounter("clusters", response.clusters.size());
   }
   search_span.AddCounter("results", response.results.size());

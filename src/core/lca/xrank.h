@@ -37,7 +37,9 @@ struct XRankOptions {
 
 /// XRank-style ranking of result roots: for each query keyword take the
 /// best decayed ElemRank of its matches inside the result subtree, sum
-/// over keywords. Results sorted best-first.
+/// over keywords. Results sorted best-first. A root's matches are found
+/// by one seek into each sorted match list, so the cost is set by the
+/// matches inside the subtree, not by the list's length.
 std::vector<ScoredXmlResult> RankXmlResults(
     const xml::XmlTree& tree, const std::vector<xml::XmlNodeId>& results,
     const std::vector<std::string>& keywords,

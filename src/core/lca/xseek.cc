@@ -1,5 +1,6 @@
 #include "core/lca/xseek.h"
 
+#include "common/check.h"
 #include "text/postings.h"
 
 namespace kws::lca {
@@ -7,15 +8,12 @@ namespace kws::lca {
 using xml::XmlNodeId;
 using xml::XmlTree;
 
-NodeCategory Classify(const xml::PathStatistics& stats,
-                      const std::string& label_path, bool has_text,
-                      bool is_leaf) {
-  auto it = stats.path_repeatable.find(label_path);
-  const bool repeatable = it != stats.path_repeatable.end() && it->second;
-  if (repeatable && !is_leaf) return NodeCategory::kEntity;
-  if (repeatable && is_leaf && !has_text) return NodeCategory::kEntity;
-  if (!repeatable && is_leaf && has_text) return NodeCategory::kAttribute;
-  if (repeatable) return NodeCategory::kEntity;
+NodeCategory Classify(const XmlTree& tree, const xml::PathStatistics& stats,
+                      XmlNodeId n) {
+  if (stats.node_repeatable[n]) return NodeCategory::kEntity;
+  if (tree.children(n).empty() && !tree.text(n).empty()) {
+    return NodeCategory::kAttribute;
+  }
   return NodeCategory::kConnection;
 }
 
@@ -35,6 +33,8 @@ XSeekResult InferReturnNodes(const XmlTree& tree,
                              const xml::PathStatistics& stats,
                              const std::vector<std::string>& keywords,
                              XmlNodeId anchor, trace::Tracer* tracer) {
+  KWS_CHECK_MSG(stats.node_repeatable.size() == tree.size(),
+                "PathStatistics were computed for a different tree");
   trace::TraceSpan span(tracer, "lca.xseek");
   XSeekResult out;
   const std::vector<KeywordRole> roles = ClassifyKeywords(tree, keywords);
@@ -46,10 +46,7 @@ XSeekResult InferReturnNodes(const XmlTree& tree,
   uint64_t classified = 0;
   for (;;) {
     ++classified;
-    const NodeCategory cat =
-        Classify(stats, tree.LabelPath(cur), !tree.text(cur).empty(),
-                 tree.children(cur).empty());
-    if (cat == NodeCategory::kEntity) {
+    if (Classify(tree, stats, cur) == NodeCategory::kEntity) {
       root = cur;
       found_entity = true;
       break;
@@ -96,10 +93,9 @@ XSeekResult InferReturnNodes(const XmlTree& tree,
   // Implicit: the entity itself plus its attribute children.
   out.return_nodes.push_back(root);
   for (XmlNodeId c : tree.children(root)) {
-    const NodeCategory cat =
-        Classify(stats, tree.LabelPath(c), !tree.text(c).empty(),
-                 tree.children(c).empty());
-    if (cat == NodeCategory::kAttribute) out.return_nodes.push_back(c);
+    if (Classify(tree, stats, c) == NodeCategory::kAttribute) {
+      out.return_nodes.push_back(c);
+    }
   }
   span.AddCounter("return_nodes", out.return_nodes.size());
   return out;

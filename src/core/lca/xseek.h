@@ -16,10 +16,11 @@ namespace kws::lca {
 /// and a *connection* otherwise.
 enum class NodeCategory { kEntity, kAttribute, kConnection };
 
-/// Buckets a node by its path statistics (XSeek entity inference).
-NodeCategory Classify(const xml::PathStatistics& stats,
-                      const std::string& label_path, bool has_text,
-                      bool is_leaf);
+/// Buckets node `n` by its label path's repeatability, read from
+/// `stats.node_repeatable`, and its shape (XSeek entity inference).
+/// `stats` must be `ComputePathStatistics(tree)`.
+NodeCategory Classify(const xml::XmlTree& tree,
+                      const xml::PathStatistics& stats, xml::XmlNodeId n);
 
 /// How each query keyword matched, for return-node inference: a keyword
 /// equal to a tag name is an explicit return-node specifier; a keyword
@@ -43,8 +44,10 @@ struct XSeekResult {
 ///    descendants of (or nearest to) the anchor;
 ///  - otherwise return the nearest entity ancestor-or-self of the anchor
 ///    (the "implicit" return node), falling back to the anchor itself.
-/// A non-null `tracer` wraps the inference in an `lca.xseek` span
-/// (classified nodes + return-node count).
+/// Nodes are classified from `stats`' per-node facts, so no label path is
+/// built; `stats` must be `ComputePathStatistics(tree)` (another tree's
+/// size aborts). A non-null `tracer` wraps the inference in an
+/// `lca.xseek` span (classified nodes + return-node count).
 XSeekResult InferReturnNodes(const xml::XmlTree& tree,
                              const xml::PathStatistics& stats,
                              const std::vector<std::string>& keywords,

@@ -244,6 +244,63 @@ TEST(PathStatisticsTest, FeatureTableOfEmptyTree) {
   EXPECT_EQ(stats.num_features, 0u);
   EXPECT_EQ(stats.feature_begin, std::vector<uint32_t>{0});
   EXPECT_TRUE(stats.features.empty());
+  EXPECT_EQ(stats.num_paths, 0u);
+  EXPECT_TRUE(stats.path_id.empty());
+  EXPECT_TRUE(stats.node_repeatable.empty());
+  EXPECT_EQ(stats.dominant_begin, std::vector<uint32_t>{0});
+  EXPECT_TRUE(stats.dominant.empty());
+}
+
+TEST(PathStatisticsTest, PerNodeFactsMatchStringKeyedForms) {
+  BibDocument doc = MakeBibDocument({.seed = 5, .num_venues = 9,
+                                     .papers_per_venue = 6});
+  const XmlTree& tree = doc.tree;
+  const PathStatistics stats = ComputePathStatistics(tree);
+  ASSERT_EQ(stats.path_id.size(), tree.size());
+  ASSERT_EQ(stats.node_repeatable.size(), tree.size());
+  ASSERT_EQ(stats.dominant_begin.size(), tree.size() + 1);
+  EXPECT_EQ(stats.dominant_begin.back(), stats.dominant.size());
+  // Path ids intern label paths densely, in document order.
+  std::map<std::string, uint32_t> id_of_path;
+  const text::Tokenizer tokenizer;
+  for (XmlNodeId n = 0; n < tree.size(); ++n) {
+    const std::string path = tree.LabelPath(n);
+    const auto [it, inserted] = id_of_path.try_emplace(
+        path, static_cast<uint32_t>(id_of_path.size()));
+    EXPECT_EQ(stats.path_id[n], it->second) << path;
+    const auto rit = stats.path_repeatable.find(path);
+    EXPECT_EQ(stats.node_repeatable[n],
+              rit != stats.path_repeatable.end() && rit->second)
+        << path;
+    // Dominant features: (tag, term) pairs repeating in the subtree, by
+    // count descending then pair ascending, each as its first node.
+    std::map<std::pair<std::string, std::string>, size_t> counts;
+    std::map<std::pair<std::string, std::string>, XmlNodeId> first;
+    for (XmlNodeId m = n; m <= tree.SubtreeEnd(n); ++m) {
+      for (const std::string& t : tokenizer.Tokenize(tree.text(m))) {
+        ++counts[{tree.tag(m), t}];
+        first.try_emplace({tree.tag(m), t}, m);
+      }
+    }
+    std::vector<std::pair<size_t, std::pair<std::string, std::string>>> ranked;
+    for (const auto& [pair, count] : counts) {
+      if (count >= 2) ranked.emplace_back(count, pair);
+    }
+    std::sort(ranked.begin(), ranked.end(), [](const auto& a, const auto& b) {
+      if (a.first != b.first) return a.first > b.first;
+      return a.second < b.second;
+    });
+    std::vector<XmlNodeId> want;
+    for (const auto& [count, pair] : ranked) want.push_back(first[pair]);
+    const std::vector<XmlNodeId> got(
+        stats.dominant.begin() + stats.dominant_begin[n],
+        stats.dominant.begin() + stats.dominant_begin[n + 1]);
+    ASSERT_EQ(got, want) << "node " << n;
+  }
+  EXPECT_EQ(stats.num_paths, id_of_path.size());
+  EXPECT_EQ(stats.path_count.size(), id_of_path.size());
+  EXPECT_FALSE(stats.node_repeatable[0]);
+  EXPECT_GT(stats.dominant_begin[1], 0u);  // the root has repeats
 }
 
 }  // namespace
