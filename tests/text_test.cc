@@ -1,12 +1,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cctype>
 #include <string>
 #include <string_view>
+#include <unordered_set>
 #include <utility>
 #include <vector>
 
 #include "common/random.h"
+#include "common/strings.h"
+#include "relational/dblp.h"
+#include "relational/query_log.h"
 #include "text/edit_distance.h"
 #include "text/inverted_index.h"
 #include "text/tokenizer.h"
@@ -52,6 +57,109 @@ TEST(TokenizerTest, MinTokenLength) {
   Tokenizer t(opts);
   EXPECT_EQ(t.Tokenize("db is no xml yes"),
             (std::vector<std::string>{"xml", "yes"}));
+}
+
+// The 19 stopwords the default tokenizer drops, spelled out here so a
+// change to the list shows up as a test diff.
+constexpr const char* kExpectedStopwords[] = {
+    "a",  "an", "and", "are", "as",  "at",  "be",  "by", "for", "from",
+    "in", "is", "it",  "of",  "on",  "or",  "the", "to", "with"};
+
+TEST(TokenizerTest, EveryListedStopwordIsAStopword) {
+  const Tokenizer t;
+  for (const char* w : kExpectedStopwords) {
+    EXPECT_TRUE(t.IsStopword(w)) << w;
+  }
+}
+
+TEST(TokenizerTest, NearMissesAndNonLowercaseWordsAreNotStopwords) {
+  const Tokenizer t;
+  for (const char* w : {"th", "ands", "them", "", "ann", "f", "wit", "withs",
+                        "z", "tho", "The", "AND", "Of", "A", "wITH"}) {
+    EXPECT_FALSE(t.IsStopword(w)) << '"' << w << '"';
+  }
+}
+
+// A test-local copy of the tokenizer as it stood with a per-instance hash
+// set of stopwords: the reference the production tokenizer must match
+// token for token.
+std::vector<std::string> HashSetTokenize(std::string_view input,
+                                         const TokenizerOptions& options) {
+  const std::unordered_set<std::string> stopwords(
+      std::begin(kExpectedStopwords), std::end(kExpectedStopwords));
+  std::vector<std::string> tokens;
+  std::string current;
+  auto flush = [&] {
+    if (current.size() >= options.min_token_length &&
+        !(options.drop_stopwords && stopwords.count(current) > 0)) {
+      tokens.push_back(current);
+    }
+    current.clear();
+  };
+  for (char raw : input) {
+    const unsigned char c = static_cast<unsigned char>(raw);
+    if (std::isalnum(c)) {
+      current.push_back(options.lowercase ? static_cast<char>(std::tolower(c))
+                                          : raw);
+    } else if (!current.empty()) {
+      flush();
+    }
+  }
+  if (!current.empty()) flush();
+  return tokens;
+}
+
+TEST(TokenizerTest, MatchesHashSetReferenceOverQueryLogVariants) {
+  relational::DblpOptions dopts;
+  dopts.num_authors = 40;
+  dopts.num_papers = 80;
+  dopts.num_conferences = 6;
+  const relational::DblpDatabase dblp = relational::MakeDblpDatabase(dopts);
+  relational::QueryLogOptions lopts;
+  lopts.num_queries = 60;
+  const relational::QueryLog log =
+      relational::MakeQueryLog(*dblp.db, dblp.paper, lopts);
+  ASSERT_FALSE(log.empty());
+
+  std::vector<std::string> texts = {"", "  ,,;; ", "the of and", "THE Of aNd",
+                                    "a-an.and!are", "c++ x86 icde2011"};
+  for (const relational::LoggedQuery& q : log) {
+    const std::string plain = Join(q.keywords, " ");
+    std::string upper, title, punctuated;
+    bool word_start = true;
+    for (char c : plain) {
+      const unsigned char u = static_cast<unsigned char>(c);
+      upper += static_cast<char>(std::toupper(u));
+      title += word_start ? static_cast<char>(std::toupper(u)) : c;
+      word_start = c == ' ';
+      punctuated += c == ' ' ? std::string(",; ") : std::string(1, c);
+    }
+    texts.insert(texts.end(),
+                 {plain, upper, title, "The " + punctuated + "!",
+                  "(" + plain + ") AND of the " + upper + "?"});
+  }
+
+  size_t dropped = 0;
+  for (const bool drop : {true, false}) {
+    for (const bool lowercase : {true, false}) {
+      TokenizerOptions opts;
+      opts.drop_stopwords = drop;
+      opts.lowercase = lowercase;
+      const Tokenizer t(opts);
+      for (const std::string& text : texts) {
+        const std::vector<std::string> want = HashSetTokenize(text, opts);
+        EXPECT_EQ(t.Tokenize(text), want)
+            << '"' << text << "\" drop=" << drop
+            << " lowercase=" << lowercase;
+        if (drop) {
+          TokenizerOptions keep = opts;
+          keep.drop_stopwords = false;
+          dropped += HashSetTokenize(text, keep).size() - want.size();
+        }
+      }
+    }
+  }
+  EXPECT_GT(dropped, 0u) << "the variants must exercise stopword dropping";
 }
 
 TEST(EditDistanceTest, Basics) {
