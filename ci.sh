@@ -52,6 +52,9 @@ cmake --preset tsan
 cmake --build build-tsan -j "${jobs}" --target serve_test common_test \
   cn_parallel_test trace_test shard_test update_test obs_test
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/serve_test
+# A lost worker wakeup is a rare interleaving: rerun the handoff cases.
+TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/serve_test \
+  --gtest_filter='ServeHandoffTest.*' --gtest_repeat=50
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/common_test
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/cn_parallel_test
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/trace_test

@@ -162,11 +162,23 @@ struct SlowQueryEntry {
 /// epoch-tagged — relational writes cannot affect XML answers, and those
 /// hits deliberately survive the bump.
 ///
+/// Handoff: a worker that finishes a task polls the queue for up to
+/// `kWorkerSpinMicros` before it parks on the condition variable, so a
+/// closed-loop client's next request is usually taken without a futex
+/// wake. `Submit` signals only when some worker has registered as parked
+/// (`parked_`, under `mu_`); a worker that has not checks the queue under
+/// `mu_` before it parks, so no wakeup is lost.
+///
 /// Lifecycle: workers start in the constructor; the destructor (or an
 /// explicit `Shutdown`) stops admissions, drains every queued task, and
 /// joins the pool, so no future obtained from `Submit` is ever abandoned.
 class ServingEngine {
  public:
+  /// How long an idle worker polls for new work before it parks, in real
+  /// time (never `ServeOptions::clock`). Bounds the extra time `Shutdown`
+  /// can wait for a worker to notice it.
+  static constexpr uint64_t kWorkerSpinMicros = 50;
+
   /// Wraps the (optional) relational and XML engines; spawns
   /// `options.num_workers` queue workers.
   ServingEngine(const engine::KeywordSearchEngine* relational,
@@ -279,6 +291,10 @@ class ServingEngine {
     Deadline deadline;
   };
 
+  /// One worker: takes the oldest task (parking on `cv_` while the queue
+  /// is empty), runs it, then spins up to `kWorkerSpinMicros` on
+  /// `queued_` before going back for the next. Returns once `stopping_`
+  /// is set and the queue is drained.
   void WorkerLoop();
 
   /// Anchors `request`'s budget at the moment of the call, then runs the
@@ -368,7 +384,12 @@ class ServingEngine {
   mutable std::mutex mu_;
   std::condition_variable cv_;
   std::deque<Task> queue_;
+  /// Workers waiting on `cv_`; Submit signals only when it is nonzero.
+  size_t parked_ = 0;
   bool stopping_ = false;
+  /// `queue_.size()` as of the last change under `mu_`: a lock-free hint
+  /// that spinning workers poll. The queue itself is read under `mu_`.
+  std::atomic<size_t> queued_{0};
   // The server IS a worker pool: it owns long-lived threads draining a
   // cv-guarded queue, which ThreadPool's fork-join RunOnAll cannot model.
   std::vector<std::thread> workers_;  // cv-draining pool ThreadPool cannot model -- kwslint: allow(raw-thread)

@@ -1,18 +1,19 @@
 #include "text/tokenizer.h"
 
+#include <algorithm>
+#include <iterator>
+
 namespace kws::text {
 
 namespace {
 
-constexpr const char* kStopwords[] = {
+// Sorted, so `IsStopword` can binary-search it.
+constexpr std::string_view kStopwords[] = {
     "a",  "an", "and", "are", "as",  "at",  "be",  "by", "for", "from",
     "in", "is", "it",  "of",  "on",  "or",  "the", "to", "with"};
+static_assert(std::is_sorted(std::begin(kStopwords), std::end(kStopwords)));
 
 }  // namespace
-
-Tokenizer::Tokenizer(TokenizerOptions options) : options_(options) {
-  for (const char* w : kStopwords) stopwords_.insert(w);
-}
 
 std::vector<std::string> Tokenizer::Tokenize(std::string_view input) const {
   std::vector<std::string> tokens;
@@ -24,8 +25,9 @@ std::vector<std::string> Tokenizer::Tokenize(std::string_view input) const {
   return tokens;
 }
 
-bool Tokenizer::IsStopword(std::string_view word) const {
-  return stopwords_.find(word) != stopwords_.end();
+bool Tokenizer::IsStopword(std::string_view word) {
+  return std::binary_search(std::begin(kStopwords), std::end(kStopwords),
+                            word);
 }
 
 }  // namespace kws::text

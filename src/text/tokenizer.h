@@ -4,10 +4,7 @@
 #include <cctype>
 #include <string>
 #include <string_view>
-#include <unordered_set>
 #include <vector>
-
-#include "common/strings.h"
 
 namespace kws::text {
 
@@ -24,10 +21,14 @@ struct TokenizerOptions {
 /// Splits free text into normalized keyword tokens. This is the single
 /// normalization point shared by indexing and query parsing, so a query
 /// token always compares equal to the corresponding document token.
+///
+/// The stopword list is one static table shared by every instance, so a
+/// `Tokenizer` holds only its options: constructing one allocates
+/// nothing, and per-query call sites build a fresh one at no cost.
 class Tokenizer {
  public:
-  /// A tokenizer applying `options` (case folding, stopwords, stems).
-  explicit Tokenizer(TokenizerOptions options = {});
+  /// A tokenizer applying `options` (case folding, stopwords).
+  explicit Tokenizer(TokenizerOptions options = {}) : options_(options) {}
 
   /// Tokenizes `input`, applying the configured normalization.
   std::vector<std::string> Tokenize(std::string_view input) const;
@@ -60,13 +61,12 @@ class Tokenizer {
     if (!current.empty()) flush();
   }
 
-  /// True when `word` (already lower-case) is a stopword. Heterogeneous
-  /// lookup: no string is materialized.
-  bool IsStopword(std::string_view word) const;
+  /// True when `word` (already lower-case) is one of the 19 stopwords: a
+  /// binary search of a static sorted table, no string materialized.
+  static bool IsStopword(std::string_view word);
 
  private:
   TokenizerOptions options_;
-  std::unordered_set<std::string, StringHash, std::equal_to<>> stopwords_;
 };
 
 }  // namespace kws::text
